@@ -158,18 +158,6 @@ def _constant_factor(
     return None
 
 
-@dataclass(frozen=True)
-class RecoveredAccess:
-    """A delinearized access: one subscript variable tuple per dimension."""
-
-    array: str
-    subscripts: Tuple[Tuple[str, ...], ...]
-
-    @property
-    def rank(self) -> int:
-        return len(self.subscripts)
-
-
 def delinearize_index(
     expr: Expr,
     induction_variables: Sequence[str],

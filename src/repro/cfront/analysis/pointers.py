@@ -81,16 +81,6 @@ class PointerAnalysis:
                 depth = max(depth, len(site.enclosing_loop_variables))
         return depth
 
-    def advancement_variables(self, name: str) -> Tuple[str, ...]:
-        """Induction variables under which *name* (or an alias of it) advances."""
-        target = self.resolve(name)
-        seen: Dict[str, None] = {}
-        for site in self.advancement_sites:
-            if self.resolve(site.pointer) == target:
-                for variable in site.enclosing_loop_variables:
-                    seen.setdefault(variable, None)
-        return tuple(seen)
-
     def is_pointer(self, name: str) -> bool:
         return name in self.pointer_variables
 

@@ -31,11 +31,6 @@ class CType:
     def is_floating(self) -> bool:
         return self.base in ("float", "double")
 
-    def pointee(self) -> "CType":
-        if not self.is_pointer:
-            raise ValueError(f"{self} is not a pointer type")
-        return CType(self.base, self.pointer_depth - 1)
-
     def __str__(self) -> str:
         return self.base + "*" * self.pointer_depth
 

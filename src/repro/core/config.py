@@ -149,9 +149,6 @@ class StaggConfig:
             label=f"{self.label}.Drop({suffix})",
         )
 
-    def with_label(self, label: str) -> "StaggConfig":
-        return replace(self, label=label)
-
     def with_limits(self, limits: SearchLimits) -> "StaggConfig":
         return replace(self, limits=limits)
 

@@ -47,9 +47,6 @@ class TopDownCostModel:
         """``g(x)``: minimal cost of completing every open non-terminal."""
         return heuristic_completion_cost(symbols, self._completion)
 
-    def nonterminal_cost(self, nonterminal: NonTerminal) -> float:
-        return self._completion.get(nonterminal, -math.log2(_PROBABILITY_FLOOR))
-
 
 class BottomUpCostModel:
     """``c`` and the simplified ``g`` of Section 5.2 for the bottom-up search.

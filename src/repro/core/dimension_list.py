@@ -36,10 +36,6 @@ class DimensionPredictionResult:
     static_lhs_rank: Optional[int]
     candidate_lists: Tuple[DimensionList, ...]
 
-    @property
-    def num_tensors(self) -> int:
-        return len(self.dimension_list)
-
 
 def vote_dimension_list(templates: Sequence[Template]) -> DimensionList:
     """The majority dimension list among the longest candidate lists.

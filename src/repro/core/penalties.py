@@ -180,10 +180,6 @@ class PenaltyConfig:
     def drop_all_topdown(cls) -> "PenaltyConfig":
         return cls(disabled=frozenset(TOPDOWN_CRITERIA))
 
-    @classmethod
-    def drop_all_bottomup(cls) -> "PenaltyConfig":
-        return cls(disabled=frozenset(BOTTOMUP_CRITERIA))
-
     def enabled(self, name: str) -> bool:
         return name not in self.disabled
 

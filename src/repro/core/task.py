@@ -63,12 +63,6 @@ class InputSpec:
                 resolved.append(int(sizes[dim]))
         return tuple(resolved)
 
-    def rank_of(self, name: str) -> int:
-        """The logical rank of array argument *name* (0 for scalars)."""
-        if name in self.arrays:
-            return len(self.arrays[name])
-        return 0
-
 
 @dataclass(frozen=True)
 class LiftingTask:

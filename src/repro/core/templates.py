@@ -62,10 +62,6 @@ class Template:
         """Unique symbolic tensor names, LHS first."""
         return self.program.tensor_names()
 
-    def rhs_tensor_symbols(self) -> Tuple[str, ...]:
-        """Unique symbolic tensor names on the right-hand side only."""
-        return tuple(n for n in self.program.tensor_names() if n != self.program.lhs.name)
-
     def dimension_list(self) -> Tuple[int, ...]:
         """The dimension list of Definition 4.5 for this template.
 

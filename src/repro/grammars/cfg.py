@@ -225,18 +225,6 @@ class ContextFreeGrammar:
         return all(is_terminal(sym) for sym in sentential_form)
 
 
-@dataclass
-class WeightedProduction:
-    """A production paired with a positive weight (Definition 4.2)."""
-
-    production: Production
-    weight: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.weight < 0:
-            raise GrammarError(f"weights must be non-negative, got {self.weight}")
-
-
 class WeightedGrammar(ContextFreeGrammar):
     """A weighted CFG: each production carries a non-negative weight.
 
@@ -279,10 +267,6 @@ class WeightedGrammar(ContextFreeGrammar):
         if weight < 0:
             raise GrammarError(f"weights must be non-negative, got {weight}")
         self._weights[production] = weight
-
-    def add_weight(self, production: Production, delta: float = 1.0) -> None:
-        """Increment the weight of *production* by *delta*."""
-        self.set_weight(production, self.weight(production) + delta)
 
     def weights(self) -> Dict[Production, float]:
         """A copy of the production-to-weight map."""

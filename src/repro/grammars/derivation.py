@@ -88,14 +88,6 @@ class DerivationNode:
     def is_expanded(self) -> bool:
         return self.terminal or self.production is not None
 
-    def clone(self) -> "DerivationNode":
-        """Deep-copy this node (kept for API compatibility; rarely needed)."""
-        return DerivationNode(
-            symbol=self.symbol,
-            production=self.production,
-            children=[child.clone() for child in self.children],
-        )
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DerivationNode):
             return NotImplemented
@@ -141,9 +133,6 @@ class DerivationTree:
     @property
     def root(self) -> DerivationNode:
         return self._root
-
-    def clone(self) -> "DerivationTree":
-        return DerivationTree(self._grammar, self._root.clone(), self._yield, self._levels)
 
     # ------------------------------------------------------------------ #
     # Completeness / yields
@@ -354,17 +343,6 @@ class DerivationTree:
             return own + child_depth
 
         return walk(self._root)
-
-    def count_nonterminal(self, name: str) -> int:
-        """Number of nodes (expanded or not) labelled with non-terminal *name*."""
-        count = 0
-        stack = [self._root]
-        while stack:
-            node = stack.pop()
-            if not node.terminal and str(node.symbol) == name:
-                count += 1
-            stack.extend(node.children)
-        return count
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"DerivationTree({self.sentence()!r})"

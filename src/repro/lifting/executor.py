@@ -16,11 +16,11 @@ backends share a result-store digest (see ``descriptor.py``, which strips
 execution state from the generic descriptor path, and the portfolio
 descriptor, which never emits it).
 
-Cross-process cancellation rides the existing cooperative poll points: a
-:class:`TokenBudget` wraps a ``multiprocessing.Event`` shared between the
-parent and every racing child, so the first win flips one token and every
-loser winds down at its next ``Budget.expired()`` poll — the same places
-thread races already poll.
+Cancellation rides the existing cooperative poll points: a
+:class:`TokenBudget` wraps an event shared by every member of a race (a
+``multiprocessing.Event`` when members are processes), so the first win
+flips one token and every loser winds down at its next
+``Budget.expired()`` poll.
 """
 
 from __future__ import annotations
@@ -113,11 +113,12 @@ def default_execution() -> ExecutionConfig:
 class TokenBudget(Budget):
     """A budget that also honours a shared cross-process cancel token.
 
-    Child processes in a portfolio race receive one of these instead of a
-    plain :class:`Budget`: ``expired()`` — the primitive every existing poll
-    point calls — additionally checks a ``multiprocessing.Event`` owned by
-    the parent, so the first win (or a parent-side timeout) stops every
-    sibling at its next poll without any new poll sites.
+    Every member of a race receives one of these instead of a plain
+    :class:`Budget`: ``expired()`` — the primitive every existing poll
+    point calls — additionally checks the race's shared token (a
+    ``threading.Event`` or ``multiprocessing.Event``), so the first win
+    (or a parent-side timeout) stops every sibling at its next poll
+    without any new poll sites.
     """
 
     __slots__ = ("_token",)

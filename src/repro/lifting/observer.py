@@ -88,8 +88,9 @@ class LiftObserver:
         """
 
     # -------------------------------------------------------------- #
-    # Portfolio events (see repro.portfolio): callbacks may arrive
-    # from member threads, so observers that aggregate must lock.
+    # Portfolio events (see repro.portfolio): they arrive from the
+    # race's calling thread, while thread members' stage events arrive
+    # from their own threads, so observers that aggregate must lock.
     # -------------------------------------------------------------- #
     def member_started(self, member: str, task_name: str) -> None:
         """A portfolio member began racing the task."""

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import List, Tuple
+from typing import List
 
 from ..taco import TacoProgram, parse_program
 from ..taco.errors import TacoError
@@ -84,19 +84,3 @@ def parse_response(raw_text: str) -> ParsedResponse:
             continue
         response.candidates.append(program)
     return response
-
-
-def parse_candidate_strings(candidates: List[str]) -> Tuple[List[TacoProgram], List[str]]:
-    """Parse a list of candidate strings, returning (valid, rejected)."""
-    valid: List[TacoProgram] = []
-    rejected: List[str] = []
-    for text in candidates:
-        line = normalize_line(text)
-        if not line:
-            rejected.append(text)
-            continue
-        try:
-            valid.append(parse_program(line))
-        except TacoError:
-            rejected.append(text)
-    return valid, rejected

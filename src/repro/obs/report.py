@@ -212,14 +212,6 @@ def render_slowest(traces: Sequence[Trace], limit: int = 10) -> str:
     return "\n".join(lines) + "\n"
 
 
-def stage_breakdown(trace: Trace) -> Dict[str, float]:
-    """``{span_name: total_seconds}`` for one trace (tests use this)."""
-    breakdown: Dict[str, float] = {}
-    for node in trace.walk():
-        breakdown[node.name] = breakdown.get(node.name, 0.0) + node.duration
-    return breakdown
-
-
 def find_span(trace: Trace, name: str) -> Optional[SpanNode]:
     """First span named *name* in *trace* (depth-first), or ``None``."""
     for node in trace.walk():

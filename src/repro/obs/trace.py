@@ -9,10 +9,13 @@ lift into a span tree: a root ``lift`` span, one span per pipeline
 stage, one span per portfolio member (stages nest under the member that
 ran them), and point events for search heartbeats, accepted candidates,
 validator tier counters, cancellations and the portfolio winner.
-Portfolio members run on their own threads, so the observer keeps its
-open-span stack in a :class:`threading.local` — a stage started on
-member thread *T* nests under the member span *T* pushed, with no
-member-name bookkeeping at all.
+Stage spans nest through an open-span stack kept in a
+:class:`threading.local`, since thread-raced members run their stages on
+their own threads.  Member spans are different: the race emits their
+lifecycle from its coordinating thread on either backend, so every
+member span is a child of the ``lift`` root, and a stage opened on a
+thread with an empty stack finds its member's span through the
+``task[member]`` tag the race puts on member stage events.
 
 Module-level arming mirrors :mod:`repro.service.faults`: a process-wide
 writer armed via :func:`configure` (or the ``REPRO_TRACE`` environment
@@ -29,7 +32,7 @@ import uuid
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
-from ..lifting.observer import LiftObserver
+from ..lifting.observer import LiftObserver, tagged_member
 from .schema import AttrValue, EventRecord, SpanRecord, TraceRecord, dump_record
 
 __all__ = [
@@ -135,6 +138,7 @@ class TracingObserver(LiftObserver):
         self._local = threading.local()
         self._lock = threading.Lock()
         self._open: Dict[str, _OpenSpan] = {}
+        self._members: Dict[str, _OpenSpan] = {}
         self._closed = False
 
     # -- span-stack plumbing ------------------------------------------------
@@ -146,19 +150,23 @@ class TracingObserver(LiftObserver):
             self._local.stack = stack
         return stack
 
-    def _current_span_id(self) -> str:
+    def _current_span_id(self, task_name: str = "") -> str:
+        """Top of this thread's stack, else the tagged member's span, else root."""
         stack = self._stack()
-        return stack[-1].span_id if stack else self.root_span_id
+        if stack:
+            return stack[-1].span_id
+        with self._lock:
+            member = self._members.get(tagged_member(task_name))
+        return member.span_id if member is not None else self.root_span_id
 
-    def _push(self, name: str, **attrs: object) -> _OpenSpan:
+    def _open_span(self, name: str, parent_id: str, **attrs: object) -> _OpenSpan:
         span = _OpenSpan(
             span_id=_new_id(),
-            parent_id=self._current_span_id(),
+            parent_id=parent_id,
             name=name,
             start=time.time(),
             attrs=_clean_attrs(attrs),
         )
-        self._stack().append(span)
         with self._lock:
             self._open[span.span_id] = span
         return span
@@ -172,6 +180,9 @@ class TracingObserver(LiftObserver):
             if stack[index].name == name:
                 span = stack.pop(index)
                 break
+        self._finish(span, **attrs)
+
+    def _finish(self, span: Optional[_OpenSpan], **attrs: object) -> None:
         if span is None:
             return
         with self._lock:
@@ -192,7 +203,10 @@ class TracingObserver(LiftObserver):
     # -- LiftObserver seam --------------------------------------------------
 
     def stage_started(self, stage: str, task_name: str) -> None:
-        self._push(f"stage:{stage}", task=task_name)
+        span = self._open_span(
+            f"stage:{stage}", self._current_span_id(task_name), task=task_name
+        )
+        self._stack().append(span)
 
     def stage_finished(self, stage: str, task_name: str, seconds: float) -> None:
         self._pop(f"stage:{stage}", task=task_name, seconds=seconds)
@@ -200,7 +214,7 @@ class TracingObserver(LiftObserver):
     def stage_skipped(self, stage: str, task_name: str) -> None:
         now = time.time()
         self._writer.span(
-            self.trace_id, _new_id(), self._current_span_id(),
+            self.trace_id, _new_id(), self._current_span_id(task_name),
             f"stage:{stage}", now, now, task=task_name, skipped=True,
         )
 
@@ -238,15 +252,20 @@ class TracingObserver(LiftObserver):
         )
 
     def member_started(self, member: str, task_name: str) -> None:
-        self._push(f"member:{member}", member=member, task=task_name)
+        span = self._open_span(
+            f"member:{member}", self.root_span_id, member=member, task=task_name
+        )
+        with self._lock:
+            self._members[member] = span
 
     def member_finished(self, member: str, task_name: str,
                         success: bool, seconds: float) -> None:
-        self._pop(f"member:{member}", success=success, seconds=seconds)
+        with self._lock:
+            span = self._members.pop(member, None)
+        self._finish(span, success=success, seconds=seconds)
 
     def member_cancelled(self, member: str, task_name: str) -> None:
-        # Emitted by the coordinating thread after the race resolves, so
-        # this lands on the root span rather than the member's own stack.
+        # Emitted after the race resolves: lands on the root span.
         self._writer.event(
             self.trace_id, self.root_span_id, "member_cancelled",
             member=member, task=task_name,

@@ -8,13 +8,11 @@ STAGG members — one LLM query, many searches.
 
 * :class:`PortfolioLifter` — the :class:`repro.lifting.Lifter` implementing
   the race (usable anywhere a method is: CLI, evaluation, HTTP service).
-* :class:`MemberScheduler` — the thread-based racing engine: per-member
-  sub-budgets carved from the shared deadline, first-win cancellation,
-  deterministic tie-break by member order.
-* :class:`ProcessMemberScheduler` — the same race across a process pool
-  (one core per member, cross-process cancel token), selected by building
-  the portfolio with ``ExecutionConfig(backend="processes")`` — see
-  :mod:`repro.lifting.executor`.
+* :func:`race` — the racing engine: one run loop over a thread or process
+  transport (:func:`transport_for` picks it from an
+  :class:`~repro.lifting.executor.ExecutionConfig`), with a shared
+  deadline, first-win cancellation and a deterministic tie-break by
+  member order.
 * :mod:`.spec` — the ``Portfolio(A,B,...)`` name syntax
   (:func:`parse_portfolio_name`) and :func:`register_portfolio` for named
   portfolios (``Portfolio.Default`` is the canonical built-in).
@@ -24,8 +22,7 @@ semantics and the warm-cache caveat.
 """
 
 from .lifter import PortfolioLifter
-from .process_scheduler import ProcessMemberScheduler
-from .scheduler import MemberRun, MemberScheduler
+from .scheduler import MemberRun, race, transport_for
 from .spec import (
     PORTFOLIO_PREFIX,
     is_portfolio_name,
@@ -37,8 +34,8 @@ from .spec import (
 __all__ = [
     "PortfolioLifter",
     "MemberRun",
-    "MemberScheduler",
-    "ProcessMemberScheduler",
+    "race",
+    "transport_for",
     "PORTFOLIO_PREFIX",
     "is_portfolio_name",
     "parse_portfolio_name",

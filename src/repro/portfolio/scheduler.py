@@ -1,46 +1,62 @@
-"""The member scheduler: race lifting runs on threads, first verified win.
+"""The member race: one run loop over threads or processes, first verified win.
 
-One :class:`MemberScheduler` call races N member runners against the same
-task.  Each member gets its own cooperative sub-budget carved from the
-shared deadline (the portfolio's wall-clock window and/or the caller's
-:class:`~repro.lifting.budget.Budget`); the first member to return a
-*successful* report — validated on the I/O examples and verified by the
-bounded checker — flips every other member's cancellation token, and the
-losers wind down at their next poll point (searches poll every queue pop,
-the validator every 64 substitutions), so no thread outlives the race.
+One :func:`race` call runs N member runners against the same task.  Every
+member, on either backend, runs :func:`run_member` under a
+:class:`~repro.lifting.executor.TokenBudget` — the shared deadline (the
+portfolio's wall-clock window and/or the caller's
+:class:`~repro.lifting.budget.Budget`) plus one token shared by the whole
+race — and posts one result tuple to the race's queue.  The first member to
+produce a *successful* report (validated on the I/O examples and verified
+by the bounded checker) sets the token, and the losers wind down at their
+next poll point (searches poll every queue pop, the validator every 64
+substitutions).  The calling thread drains the queue, sets the token when
+the caller's budget expires, records workers that die without reporting,
+and joins every worker before returning, so no member outlives the race.
 
-Threads, not processes: members spend most of their time in the same
-NumPy-backed validation kernels, cancellation must be a shared-memory token
-flip, and the oracle-derived :class:`~repro.lifting.pipeline.PipelineState`
-is shared by reference.  Multi-process/multi-host sharding plugs in behind
-this same interface later (see ROADMAP).
+The backends differ only in their :class:`Transport`: the worker
+(``Thread`` or ``Process``), the token (``threading.Event`` or a process
+``Event``) and the result queue.  Thread members share the oracle-derived
+:class:`~repro.lifting.pipeline.PipelineState` by reference and forward
+member-tagged stage events, but serialize the CPU-bound searches behind
+the GIL; process members (:mod:`.process_scheduler`) race on their own
+cores and forward no member-internal events.
 
 Determinism: the winner is the *lowest-index* member among those that
-succeeded.  In the common case exactly one member succeeds before the
-others are cancelled, so "first win" and "lowest index" coincide; when two
-members finish successfully within one cancellation-poll window, member
-order — the order in the portfolio spec — breaks the tie the same way on
-every run.
+succeeded.  Usually exactly one member succeeds before the others are
+cancelled, so "first win" and "lowest index" coincide; when two members
+succeed within one poll window, member order — the order in the portfolio
+spec — breaks the tie the same way on every run and on either backend.
 """
 
 from __future__ import annotations
 
+import queue
 import threading
 import time
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from ..core.result import SynthesisReport
 from ..lifting.budget import Budget
+from ..lifting.executor import ExecutionConfig, TokenBudget
 from ..lifting.observer import LiftObserver, safe_notify, tag_member
+from ..lifting.pipeline import PipelineState
 
 #: A member runner: execute one member's lift under (budget, observer).
 MemberRunner = Callable[[Budget, Optional[LiftObserver]], SynthesisReport]
 
-#: How often the coordinating thread re-checks the parent budget while the
-#: race runs; losers are cancelled promptly by the winning member's thread,
-#: so this only bounds how late a *parent* deadline/cancel propagates.
+#: How often the calling thread polls the result queue; bounds how late a
+#: parent deadline/cancel or a dead worker is noticed.
 POLL_INTERVAL_SECONDS = 0.02
+
+#: How long workers get to exit once the race is over before a process
+#: worker is terminated.  Poll points are dense, so reaching this is a bug.
+JOIN_GRACE_SECONDS = 10.0
+
+#: Empty-queue polls with a dead worker before its result is declared lost
+#: (a process queue flushes on exit, so in-flight results land in a poll or
+#: two).
+_DEAD_WORKER_STRIKES = 10
 
 
 @dataclass
@@ -49,21 +65,20 @@ class MemberRun:
 
     name: str
     index: int
-    budget: Budget
     report: Optional[SynthesisReport] = None
-    #: Non-empty when the runner itself raised (member lifts normally report
-    #: errors instead of raising, so this is a harness-level failure).
-    error: str = ""
+    #: What the runner raised (member lifts normally report errors instead
+    #: of raising, so this is a harness-level failure).
+    exception: Optional[BaseException] = None
     elapsed_seconds: float = 0.0
-    #: True when this run was actually cut short by cancellation.  A stored
-    #: snapshot, not derived from the budget: the winner also flips the
-    #: budgets of members that already finished naturally (idempotent and
-    #: harmless), and those must not be reported as cancelled.
+    #: True when the token was set before the member finished and it did
+    #: not succeed: the run was cut short, not finished on its own.
     cancelled: bool = False
-    started: bool = field(default=False, repr=False)
-    #: Set under the scheduler lock the moment the worker returns; guards
-    #: both the cancelled snapshot and the winner's cancellation sweep.
-    finished: bool = field(default=False, repr=False)
+
+    @property
+    def error(self) -> str:
+        if self.exception is None:
+            return ""
+        return f"{type(self.exception).__name__}: {self.exception}"
 
     @property
     def succeeded(self) -> bool:
@@ -74,168 +89,212 @@ class MemberRun:
         return self.report is not None and self.report.timed_out
 
 
-class _MemberObserver(LiftObserver):
-    """Forward one member's pipeline events with member attribution.
+@dataclass(frozen=True)
+class Transport:
+    """What a race backend supplies: three primitives and member packaging."""
 
-    Stage events from racing members would otherwise interleave under the
-    same task name; the wrapper tags them ``task[member]`` so ``repro lift
-    -v`` output and the service's live stage field stay readable.  Search
-    heartbeats and accepted candidates forward unchanged.
-    """
+    #: ``worker(target=, args=, name=, daemon=)``: a Thread or Process.
+    worker: Callable[..., Any]
+    token: Callable[[], Any]
+    queue: Callable[[], Any]
+    #: ``runners(members, task, shared_state)`` -> ``[(name, runner)]``.
+    runners: Callable[..., List[Tuple[str, MemberRunner]]]
+    #: Thread members share this process and forward member-tagged events
+    #: to the race's observer.  Process members forward none, can be
+    #: terminated, and post to a queue that must be closed.
+    in_process: bool
+
+
+class _MemberObserver(LiftObserver):
+    """Forward one member's events, tagging stage events ``task[member]``
+    so interleaved progress (``-v``, traces, the service's live stage)
+    stays attributable."""
 
     def __init__(self, parent: Optional[LiftObserver], member: str) -> None:
         self._parent = parent
         self._member = member
 
-    def _tag(self, task_name: str) -> str:
-        return tag_member(task_name, self._member)
-
     def stage_started(self, stage: str, task_name: str) -> None:
-        safe_notify(self._parent, "stage_started", stage, self._tag(task_name))
+        tagged = tag_member(task_name, self._member)
+        safe_notify(self._parent, "stage_started", stage, tagged)
 
     def stage_finished(self, stage: str, task_name: str, seconds: float) -> None:
-        safe_notify(self._parent, "stage_finished", stage, self._tag(task_name), seconds)
+        tagged = tag_member(task_name, self._member)
+        safe_notify(self._parent, "stage_finished", stage, tagged, seconds)
 
     def stage_skipped(self, stage: str, task_name: str) -> None:
-        safe_notify(self._parent, "stage_skipped", stage, self._tag(task_name))
+        tagged = tag_member(task_name, self._member)
+        safe_notify(self._parent, "stage_skipped", stage, tagged)
 
-    def search_progress(self, nodes_expanded: int, candidates_tried: int,
-                        nodes_per_sec: float = 0.0,
-                        duplicates_pruned: int = 0) -> None:
-        safe_notify(
-            self._parent, "search_progress",
-            nodes_expanded, candidates_tried, nodes_per_sec, duplicates_pruned,
-        )
+    def search_progress(self, *args: object) -> None:
+        safe_notify(self._parent, "search_progress", *args)
 
     def candidate_accepted(self, program: str) -> None:
         safe_notify(self._parent, "candidate_accepted", program)
 
-    def validator_stats(self, candidates: int, screen_rejects: int,
-                        exact_checks: int, seconds: float) -> None:
-        safe_notify(
-            self._parent, "validator_stats",
-            candidates, screen_rejects, exact_checks, seconds,
+    def validator_stats(self, *args: object) -> None:
+        safe_notify(self._parent, "validator_stats", *args)
+
+
+def run_member(
+    index: int,
+    runner: MemberRunner,
+    timeout_seconds: Optional[float],
+    token: Any,
+    results: Any,
+    observer: Optional[LiftObserver],
+) -> None:
+    """Worker entry point on either backend: run one member, post one result.
+
+    The budget is built here, in the worker: budgets hold a live
+    ``threading.Event`` and never cross process boundaries.
+    """
+    budget = TokenBudget(timeout_seconds, token)
+    report: Optional[SynthesisReport] = None
+    exception: Optional[BaseException] = None
+    started = time.monotonic()
+    try:
+        report = runner(budget, observer)
+    except Exception as error:  # noqa: BLE001 - never kill the race
+        exception = error
+    elapsed = time.monotonic() - started
+    succeeded = report is not None and report.success
+    cancelled = budget.cancelled and not succeeded
+    if succeeded:
+        # First verified win: set the token here rather than when the result
+        # reaches the calling thread, so losers stop at their next poll.
+        token.set()
+    results.put((index, report, exception, elapsed, cancelled))
+
+
+def member_runners(
+    members: Sequence[Tuple[str, object]],
+    task: object,
+    shared_state: Optional[PipelineState],
+) -> List[Tuple[str, MemberRunner]]:
+    """One runner per member lifter (fork-and-resume when sharable)."""
+
+    def runner_for(lifter: Any) -> MemberRunner:
+        if shared_state is not None and hasattr(lifter, "lift_from_state"):
+            return lambda budget, observer: lifter.lift_from_state(
+                shared_state.fork(), budget=budget, observer=observer
+            )
+        return lambda budget, observer: lifter.lift(
+            task, budget=budget, observer=observer
         )
 
+    return [(name, runner_for(lifter)) for name, lifter in members]
 
-class MemberScheduler:
-    """Race member runners under per-member sub-budgets with first-win cancel."""
 
-    def __init__(self, poll_interval: float = POLL_INTERVAL_SECONDS) -> None:
-        self._poll_interval = poll_interval
+THREADS = Transport(
+    worker=threading.Thread,
+    token=threading.Event,
+    queue=queue.Queue,
+    runners=member_runners,
+    in_process=True,
+)
 
-    def race(
-        self,
-        entries: Sequence[Tuple[str, MemberRunner]],
-        *,
-        task_name: str,
-        budget: Optional[Budget] = None,
-        deadline_seconds: Optional[float] = None,
-        observer: Optional[LiftObserver] = None,
-    ) -> Tuple[List[MemberRun], Optional[MemberRun]]:
-        """Run every entry concurrently; return (runs, winner or None).
 
-        ``budget`` is the caller's (parent) budget: its expiry or
-        cancellation cancels every member.  ``deadline_seconds`` is the
-        portfolio's own remaining wall-clock window; each member's
-        sub-budget deadline is the tighter of the two at race start (all
-        members race concurrently, so every sub-budget spans the same
-        shared window — "carving" splits authority to cancel, not time).
-        """
-        if not entries:
-            raise ValueError("cannot race an empty member list")
-        sub_timeout = self._shared_window(budget, deadline_seconds)
-        runs = [
-            MemberRun(name=name, index=index, budget=Budget(timeout_seconds=sub_timeout))
-            for index, (name, _runner) in enumerate(entries)
-        ]
-        lock = threading.Lock()
-        all_done = threading.Event()
-        remaining = [len(runs)]
-        race_won = [False]
+def transport_for(execution: Optional[ExecutionConfig]) -> Transport:
+    """The transport an execution config selects (threads unless processes)."""
+    if execution is not None and execution.uses_processes:
+        # Imported lazily: thread races never need the process machinery.
+        from .process_scheduler import process_transport
 
-        def worker(run: MemberRun, runner: MemberRunner) -> None:
-            run.started = True
-            safe_notify(observer, "member_started", run.name, task_name)
-            member_observer = _MemberObserver(observer, run.name)
-            started_at = time.monotonic()
-            try:
-                run.report = runner(run.budget, member_observer)
-            except Exception as error:  # noqa: BLE001 - never kill the race
-                run.error = f"{type(error).__name__}: {error}"
-            run.elapsed_seconds = time.monotonic() - started_at
-            with lock:
-                run.finished = True
-                # Snapshot now, under the lock: a cancel arriving after this
-                # point hit a run that had already completed on its own.
-                run.cancelled = run.budget.cancelled and not run.succeeded
-                if run.succeeded and not race_won[0]:
-                    # First verified win: cancel every still-running member;
-                    # the losers stop at their next cooperative poll point.
-                    race_won[0] = True
-                    for other in runs:
-                        if other.index != run.index and not other.finished:
-                            other.budget.cancel()
-                remaining[0] -= 1
-                race_over = remaining[0] == 0
-            safe_notify(
-                observer,
-                "member_finished",
-                run.name,
-                task_name,
-                run.succeeded,
-                run.elapsed_seconds,
+        return process_transport()
+    return THREADS
+
+
+def race(
+    entries: Sequence[Tuple[str, MemberRunner]],
+    *,
+    task_name: str,
+    transport: Transport = THREADS,
+    budget: Optional[Budget] = None,
+    deadline_seconds: Optional[float] = None,
+    observer: Optional[LiftObserver] = None,
+) -> Tuple[List[MemberRun], Optional[MemberRun]]:
+    """Run every entry concurrently; return (runs, winner or None).
+
+    ``budget`` is the caller's budget: its expiry or cancellation sets the
+    token.  ``deadline_seconds`` is the portfolio's own remaining window;
+    every member's deadline is the tighter of the two at race start (the
+    members race concurrently, so they share one window).  Lifecycle
+    events come from the calling thread, in the order ``member_started`` <
+    ``member_finished`` < ``portfolio_winner`` < ``member_cancelled``, so a
+    reader learns *why* the losers stopped.
+    """
+    if not entries:
+        raise ValueError("cannot race an empty member list")
+    windows = [max(0.0, deadline_seconds)] if deadline_seconds is not None else []
+    remaining = budget.remaining() if budget is not None else None
+    if remaining is not None:
+        windows.append(remaining)
+    timeout = min(windows) if windows else None
+    token, results = transport.token(), transport.queue()
+    runs = [MemberRun(name=name, index=index) for index, (name, _) in enumerate(entries)]
+    pending = set(range(len(runs)))
+
+    def finish(index, report, exception, elapsed, cancelled) -> None:
+        run = runs[index]
+        run.report, run.exception = report, exception
+        run.elapsed_seconds, run.cancelled = elapsed, cancelled
+        pending.discard(index)
+        safe_notify(
+            observer, "member_finished",
+            run.name, task_name, run.succeeded, run.elapsed_seconds,
+        )
+
+    workers = []
+    try:
+        for run, (_, runner) in zip(runs, entries):
+            member_observer = (
+                _MemberObserver(observer, run.name) if transport.in_process else None
             )
-            if race_over:
-                all_done.set()
-
-        threads = [
-            threading.Thread(
-                target=worker,
-                args=(run, runner),
+            worker = transport.worker(
+                target=run_member,
+                args=(run.index, runner, timeout, token, results, member_observer),
                 name=f"portfolio-{task_name}-{run.name}",
                 daemon=True,
             )
-            for run, (_name, runner) in zip(runs, entries)
-        ]
-        for thread in threads:
-            thread.start()
-        # Coordinate: wait for all members, propagating parent expiry.  The
-        # members are cooperative, so cancellation always converges and the
-        # joins below return — no orphaned threads survive a race.
-        while not all_done.wait(self._poll_interval):
-            if budget is not None and budget.expired():
-                with lock:
-                    for run in runs:
-                        if not run.finished:
-                            run.budget.cancel()
-        for thread in threads:
-            thread.join()
+            safe_notify(observer, "member_started", run.name, task_name)
+            worker.start()
+            workers.append(worker)
+        strikes = dict.fromkeys(pending, 0)
+        while pending:
+            try:
+                finish(*results.get(timeout=POLL_INTERVAL_SECONDS))
+            except queue.Empty:
+                if budget is not None and budget.expired():
+                    token.set()
+                # A worker that died without reporting must not hang the
+                # race: give its result a few polls to flush, then record it.
+                for index in sorted(pending):
+                    alive = workers[index].is_alive()
+                    strikes[index] = 0 if alive else strikes[index] + 1
+                    if strikes[index] >= _DEAD_WORKER_STRIKES:
+                        code = getattr(workers[index], "exitcode", None)
+                        lost = RuntimeError(
+                            f"worker exited without a result (exitcode {code})"
+                        )
+                        finish(index, None, lost, 0.0, False)
+    finally:
+        token.set()  # idempotent: guarantees losers see the stop signal
+        deadline = time.monotonic() + JOIN_GRACE_SECONDS
+        for worker in workers:
+            worker.join(max(0.0, deadline - time.monotonic()))
+            if worker.is_alive() and not transport.in_process:  # pragma: no cover
+                worker.terminate()
+                worker.join()
+        if not transport.in_process:
+            results.close()
+            results.join_thread()
 
-        winner: Optional[MemberRun] = None
+    # Runs are in member order, so the first success is the lowest index.
+    winner = next((run for run in runs if run.succeeded), None)
+    if winner is not None:
+        safe_notify(observer, "portfolio_winner", winner.name, task_name)
         for run in runs:
-            if run.succeeded and (winner is None or run.index < winner.index):
-                winner = run
-        # Winner first, cancellations after: observers (and traces) see
-        # member_started < portfolio_winner < member_cancelled per member,
-        # so a reader knows *why* the losers were cancelled.
-        if winner is not None:
-            safe_notify(observer, "portfolio_winner", winner.name, task_name)
-        for run in runs:
-            if winner is not None and run.index != winner.index and run.cancelled:
+            if run is not winner and run.cancelled:
                 safe_notify(observer, "member_cancelled", run.name, task_name)
-        return runs, winner
-
-    @staticmethod
-    def _shared_window(
-        budget: Optional[Budget], deadline_seconds: Optional[float]
-    ) -> Optional[float]:
-        """The sub-budget deadline: tighter of caller budget and own window."""
-        candidates = []
-        if deadline_seconds is not None:
-            candidates.append(max(0.0, deadline_seconds))
-        if budget is not None:
-            remaining = budget.remaining()
-            if remaining is not None:
-                candidates.append(remaining)
-        return min(candidates) if candidates else None
+    return runs, winner

@@ -223,12 +223,11 @@ def execute_request(
     observer: Optional[LiftObserver] = None,
     retrieval_dir: Optional[str] = None,
 ) -> SynthesisReport:
-    """Run one request to completion (module-level: process-pool friendly).
+    """Run one request to completion (module-level: picklable for a child).
 
-    In thread mode the scheduler passes the job's :class:`Budget` (and a
-    stage observer), so a per-job deadline stops the synthesis cooperatively;
-    in process mode the request's timeout is already baked into the method's
-    search limits by :func:`build_lifter`.
+    The scheduler passes the job's :class:`Budget` (and, on threads, a
+    stage observer), so a per-job deadline or a ``cancel()`` stops the
+    synthesis cooperatively on either backend.
 
     ``retrieval_dir`` (bound via :func:`functools.partial` by a service
     running with ``seed_from_store``) arms similarity seeding: the lifter
@@ -318,7 +317,6 @@ class LiftingService:
         self,
         cache_dir: Optional[Union[str, Path]] = None,
         workers: int = 2,
-        use_processes: bool = False,
         default_timeout: float = DEFAULT_TIMEOUT_SECONDS,
         journal: Optional[Union[str, Path, JobJournal]] = None,
         max_queue_depth: Optional[int] = None,
@@ -328,11 +326,6 @@ class LiftingService:
         seed_from_store: bool = False,
         execution: Optional[ExecutionConfig] = None,
     ) -> None:
-        if execution is not None:
-            # The unified execution surface: --executor processes[:N] folds
-            # the legacy (workers, use_processes) pair into one object.
-            workers = execution.resolved_workers()
-            use_processes = execution.uses_processes
         if seed_from_store and cache_dir is None:
             raise ValueError("seed_from_store requires cache_dir")
         self._store = (
@@ -386,8 +379,8 @@ class LiftingService:
                     fn=lambda key=key: store.stats().get(key, 0),
                 )
         # Similarity seeding: partial application keeps the executor
-        # module-level (process-pool picklable) and signature-inspectable
-        # (cooperative budgets still engage in thread mode); the probe
+        # module-level (picklable for a child process) and
+        # signature-inspectable (cooperative budgets still engage); the probe
         # feeds the scheduler's repro_retrieval_* counters on store misses.
         executor = execute_request
         retrieval_probe = None
@@ -402,7 +395,7 @@ class LiftingService:
             executor,
             store=self._store,
             workers=workers,
-            use_processes=use_processes,
+            execution=execution,
             provenance=lambda request: {"request": request.to_payload()},
             journal=self._journal,
             max_attempts=max_attempts,

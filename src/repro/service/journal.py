@@ -526,8 +526,3 @@ class JobJournal:
             " ON CONFLICT(key) DO UPDATE SET value = excluded.value",
             (key, json.dumps(int(value))),
         )
-
-
-def looks_like_journal(path: Union[str, Path]) -> bool:
-    """Whether *path* names a journal database (the cold-path guard's probe)."""
-    return str(path).endswith(JOURNAL_SUFFIX)

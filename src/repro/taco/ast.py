@@ -29,13 +29,6 @@ class BinOp(str, Enum):
     MUL = "*"
     DIV = "/"
 
-    @classmethod
-    def from_symbol(cls, symbol: str) -> "BinOp":
-        for op in cls:
-            if op.value == symbol:
-                return op
-        raise ValueError(f"unknown binary operator {symbol!r}")
-
     def __str__(self) -> str:  # pragma: no cover - trivial
         return self.value
 

@@ -106,12 +106,3 @@ def tokenize(source: str) -> List[Token]:
         raise TacoSyntaxError(f"unexpected character {ch!r}", position=i)
     tokens.append(Token(TokenKind.END, "", length))
     return tokens
-
-
-def token_texts(source: str) -> List[str]:
-    """The token texts of *source*, without the trailing END marker.
-
-    Convenience helper used by tests and by the response-parsing layer to
-    sanity-check candidate strings cheaply.
-    """
-    return [tok.text for tok in tokenize(source) if tok.kind is not TokenKind.END]

@@ -3,7 +3,7 @@
 The CLI is scriptable glue: its exit statuses and error messages are part
 of the interface (CI jobs and the serving layer's clients branch on
 them), so they are pinned here — ``corpus`` output shapes, ``lift``
-argument errors, ``evaluate --workers`` validation, and the ``serve`` /
+argument errors, ``evaluate --executor`` validation, and the ``serve`` /
 ``submit`` failure modes that don't need a network.
 """
 
@@ -90,16 +90,16 @@ class TestLiftErrors:
 
 
 # ---------------------------------------------------------------------- #
-# evaluate: --workers validation
+# evaluate: --executor worker-count validation
 # ---------------------------------------------------------------------- #
 class TestEvaluateWorkersValidation:
     def test_zero_workers_rejected(self, capsys):
-        assert main(["evaluate", "--limit", "1", "--workers", "0"]) == 2
-        assert "--workers must be a positive integer" in capsys.readouterr().err
+        assert main(["evaluate", "--limit", "1", "--executor", "processes:0"]) == 2
+        assert "workers must be >= 1" in capsys.readouterr().err
 
     def test_negative_workers_rejected(self, capsys):
-        assert main(["evaluate", "--limit", "1", "--workers", "-3"]) == 2
-        assert "positive integer" in capsys.readouterr().err
+        assert main(["evaluate", "--limit", "1", "--executor", "processes:-3"]) == 2
+        assert "workers must be >= 1" in capsys.readouterr().err
 
     def test_oversubscription_clamped_with_note(self, capsys):
         status = main(
@@ -108,7 +108,7 @@ class TestEvaluateWorkersValidation:
                 "--limit", "1",
                 "--category", "llama",
                 "--timeout", "10",
-                "--workers", "100000",
+                "--executor", "processes:100000",
             ]
         )
         assert status == 0
@@ -120,8 +120,8 @@ class TestEvaluateWorkersValidation:
 # ---------------------------------------------------------------------- #
 class TestServiceCommands:
     def test_serve_rejects_nonpositive_workers(self, capsys):
-        assert main(["serve", "--workers", "0"]) == 2
-        assert "--workers must be a positive integer" in capsys.readouterr().err
+        assert main(["serve", "--executor", "threads:0"]) == 2
+        assert "workers must be >= 1" in capsys.readouterr().err
 
     def test_submit_without_a_server_exits_1(self, capsys):
         # Port 9 (discard) is never running a lifting service.

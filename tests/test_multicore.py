@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import multiprocessing
 import pickle
+import time
 
 import pytest
 
 from repro.lifting import ExecutionConfig, RecordingObserver, resolve_method
-from repro.portfolio import ProcessMemberScheduler
+from repro.portfolio import race, transport_for
 from repro.portfolio.process_scheduler import _pickle_lifter
 from repro.suite import get_benchmark
 
@@ -173,18 +174,65 @@ class TestMemberPickling:
 # ---------------------------------------------------------------------- #
 # The scheduler surface used by PortfolioLifter
 # ---------------------------------------------------------------------- #
-class TestProcessMemberScheduler:
+class TestProcessRace:
     def test_race_returns_ordered_runs_and_winner(self):
         members = [
             (name, resolve_method(name, timeout_seconds=30.0, oracle_seed=2025))
             for name in ("STAGG_TD", "STAGG_BU")
         ]
-        runs, winner = ProcessMemberScheduler(
-            ExecutionConfig("processes", workers=2)
-        ).race(members, task=_task(), task_name="darknet.copy_cpu")
+        transport = transport_for(ExecutionConfig("processes", workers=2))
+        runs, winner = race(
+            transport.runners(members, _task(), None),
+            task_name="darknet.copy_cpu",
+            transport=transport,
+        )
         assert [run.name for run in runs] == ["STAGG_TD", "STAGG_BU"]
         assert winner is not None and winner.succeeded
         # Thread-scheduler parity: the winner is the lowest-index success.
         successes = [run for run in runs if run.succeeded]
         assert winner.name == successes[0].name
         assert _no_orphans()
+
+
+# ---------------------------------------------------------------------- #
+# Process-backed service jobs: cooperative, cancellable, reaped
+# ---------------------------------------------------------------------- #
+class TestProcessServiceJobs:
+    #: STAGG_TD searches darknet.axpy_cpu for seconds before it solves.
+    SLOW = {"benchmark": "darknet.axpy_cpu", "method": "STAGG_TD"}
+
+    def _service(self, tmp_path):
+        from repro.service import LiftingService
+
+        return LiftingService(
+            cache_dir=tmp_path / "store", execution=ExecutionConfig("processes", 1)
+        )
+
+    def test_cancelled_running_job_is_reaped_and_not_stored(self, tmp_path):
+        from repro.service import JobState, LiftRequest
+
+        with self._service(tmp_path) as service:
+            job = service.submit(LiftRequest(timeout=60.0, **self.SLOW))
+            deadline = time.monotonic() + 30
+            while not multiprocessing.active_children():
+                assert time.monotonic() < deadline, "the job never started a child"
+                time.sleep(0.01)
+            assert job.state is JobState.RUNNING
+            assert service.scheduler.cancel(job.id)
+            assert job.wait(30)
+            assert job.state is JobState.CANCELLED
+            assert service.store.get(job.digest) is None
+            assert multiprocessing.active_children() == []
+
+    def test_job_timeout_reports_timed_out_without_leftover_child(self, tmp_path):
+        from repro.service import JobState, LiftRequest
+
+        with self._service(tmp_path) as service:
+            job = service.submit(LiftRequest(timeout=1.0, **self.SLOW))
+            assert job.wait(30)
+            assert job.state is JobState.SUCCEEDED
+            assert job.report.timed_out and not job.report.success
+            # Slack over the 1 s budget: fork, oracle prep and the result
+            # pickle, not a runaway child.
+            assert job.finished_at - job.started_at < 6.0
+            assert multiprocessing.active_children() == []

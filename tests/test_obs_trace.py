@@ -10,6 +10,7 @@ digests, and a broken observer can no longer suppress sibling delivery.
 
 from __future__ import annotations
 
+import threading
 import time
 import warnings
 
@@ -21,15 +22,17 @@ from repro.core.result import SynthesisReport
 from repro.core.search import SearchLimits
 from repro.lifting import (
     CompositeObserver,
+    ExecutionConfig,
     LiftObserver,
     RecordingObserver,
     resolve_method,
     safe_notify,
 )
+from repro.lifting.observer import tag_member
 from repro.obs import TraceWriter, TracingObserver, dump_record, load_trace
 from repro.obs import trace as obs_trace
 from repro.obs.report import build_forest, find_span, render_summary, render_tree
-from repro.portfolio import MemberScheduler
+from repro.portfolio import race
 from repro.suite import get_benchmark
 
 
@@ -136,6 +139,54 @@ class TestTracedPortfolio:
 
 
 # ---------------------------------------------------------------------- #
+# Member span parenting (member lifecycles come from the race's thread)
+# ---------------------------------------------------------------------- #
+class TestMemberSpanParenting:
+    def test_member_spans_hang_off_lift_whichever_thread_emits(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        tracer = TracingObserver(TraceWriter(path), task="t")
+        # The race emits every member's lifecycle from one thread; the
+        # member's own stages arrive from another, tagged task[member].
+        tracer.member_started("A", "t")
+        tracer.member_started("B", "t")
+
+        def member_b_stage():
+            tracer.stage_started("search", tag_member("t", "B"))
+            tracer.stage_finished("search", tag_member("t", "B"), 0.0)
+
+        worker = threading.Thread(target=member_b_stage)
+        worker.start()
+        worker.join(10)
+        assert not worker.is_alive()
+        tracer.member_finished("A", "t", False, 0.0)
+        tracer.member_finished("B", "t", True, 0.0)
+        tracer.close()
+        (root,) = build_forest(load_trace(path))[0].roots
+        members = {child.name: child for child in root.children}
+        assert set(members) == {"member:A", "member:B"}
+        assert [c.name for c in members["member:B"].children] == ["stage:search"]
+        assert members["member:A"].children == []
+
+    @pytest.mark.parametrize("backend", ["threads", "processes"])
+    def test_member_spans_are_children_of_lift_on_both_backends(
+        self, tmp_path, backend
+    ):
+        path = tmp_path / "trace.jsonl"
+        tracer = TracingObserver(TraceWriter(path), task="darknet.copy_cpu")
+        lifter = resolve_method(
+            "Portfolio.Default",
+            timeout_seconds=30.0,
+            execution=ExecutionConfig(backend, workers=2),
+        )
+        report = lifter.lift(_task(), observer=tracer)
+        tracer.close(success=report.success)
+        assert report.success
+        (root,) = build_forest(load_trace(path))[0].roots
+        members = {c.name for c in root.children if c.name.startswith("member:")}
+        assert members == {"member:STAGG_TD", "member:STAGG_BU"}
+
+
+# ---------------------------------------------------------------------- #
 # Race event ordering
 # ---------------------------------------------------------------------- #
 class TestRaceEventOrdering:
@@ -150,7 +201,7 @@ class TestRaceEventOrdering:
                 time.sleep(0.005)
             return SynthesisReport(task_name="t", method="stub", success=False)
 
-        runs, winner = MemberScheduler().race(
+        runs, winner = race(
             [("fast", fast), ("slow", slow)], task_name="t", observer=observer
         )
         assert winner is not None and winner.name == "fast"

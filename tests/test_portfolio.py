@@ -30,7 +30,7 @@ from repro.lifting import (
 )
 from repro.lifting.registry import _REGISTRY  # white-box: registration table
 from repro.llm import OracleConfig, SyntheticOracle
-from repro.portfolio import MemberScheduler, parse_portfolio_name, portfolio_label
+from repro.portfolio import parse_portfolio_name, portfolio_label, race
 from repro.service.digest import lift_digest
 from repro.suite import get_benchmark
 
@@ -421,7 +421,7 @@ class TestDeterministicTieBreak:
         return runner
 
     def test_lowest_index_wins_a_tie(self):
-        runs, winner = MemberScheduler().race(
+        runs, winner = race(
             [("first", self._stub(True)), ("second", self._stub(True))],
             task_name="t",
         )
@@ -430,14 +430,14 @@ class TestDeterministicTieBreak:
     def test_order_matters_not_finish_time_for_simultaneous_successes(self):
         # Both members succeed (the second too quickly for the first's win
         # to cancel it deterministically); the tie-break is member order.
-        runs, winner = MemberScheduler().race(
+        runs, winner = race(
             [("a", self._stub(True, delay=0.05)), ("b", self._stub(True))],
             task_name="t",
         )
         assert winner.name == "a"
 
     def test_failed_members_never_win(self):
-        runs, winner = MemberScheduler().race(
+        runs, winner = race(
             [("a", self._stub(False)), ("b", self._stub(True))],
             task_name="t",
         )
@@ -448,7 +448,7 @@ class TestDeterministicTieBreak:
         # sweep touches only still-running members, so "a" must report a
         # plain failure (not cancelled) and no member_cancelled event fires.
         observer = RecordingObserver()
-        runs, winner = MemberScheduler().race(
+        runs, winner = race(
             [("a", self._stub(False)), ("b", self._stub(True, delay=0.2))],
             task_name="t",
             observer=observer,
@@ -462,7 +462,7 @@ class TestDeterministicTieBreak:
         def boom(budget, observer):
             raise RuntimeError("member harness bug")
 
-        runs, winner = MemberScheduler().race(
+        runs, winner = race(
             [("a", boom), ("b", self._stub(True))], task_name="t"
         )
         assert winner.name == "b"
@@ -470,7 +470,7 @@ class TestDeterministicTieBreak:
 
     def test_empty_race_rejected(self):
         with pytest.raises(ValueError):
-            MemberScheduler().race([], task_name="t")
+            race([], task_name="t")
 
 
 # ---------------------------------------------------------------------- #

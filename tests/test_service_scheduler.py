@@ -8,6 +8,7 @@ import time
 import pytest
 
 from repro.core.result import SynthesisReport
+from repro.lifting import ExecutionConfig
 from repro.service import JobScheduler, JobState, ResultStore
 
 
@@ -324,6 +325,15 @@ class TestScheduling:
     def test_rejects_nonpositive_worker_count(self):
         with pytest.raises(ValueError):
             JobScheduler(lambda payload: _report(), workers=0)
+
+    def test_process_backend_rejects_budget_unaware_executor(self):
+        # Process-backed jobs are stopped through their budget; an executor
+        # that cannot take one could never be cancelled or timed out.
+        with pytest.raises(ValueError, match="budget-aware"):
+            JobScheduler(
+                lambda payload: _report(),
+                execution=ExecutionConfig("processes", workers=1),
+            )
 
     def test_submit_after_shutdown_raises(self):
         scheduler = JobScheduler(lambda payload: _report(), workers=1)
