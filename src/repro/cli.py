@@ -291,10 +291,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--journal", default=None,
-        help="crash-safe SQLite job journal: a database path, or a "
-        "directory (which gets jobs.journal.sqlite3).  Queued and running "
-        "jobs survive restarts and kill -9; orphaned work is re-enqueued "
-        "with bounded retries on the next start",
+        help="make the job queue a durable SQLite file: a database path, "
+        "or a directory (which gets jobs.journal.sqlite3).  Without it the "
+        "queue is an in-memory SQLite journal that ends with the process.  "
+        "With it, queued and running jobs survive restarts and kill -9, "
+        "orphaned work is re-enqueued with bounded retries on the next "
+        "start, and several servers may share the file; finished rows "
+        "beyond the newest 4096 are deleted",
     )
     serve.add_argument(
         "--max-queue-depth", type=int, default=None,
@@ -965,7 +968,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     print(
         f"lifting service listening on http://{host}:{port} "
         f"(executor={execution.spec()}, cache={args.cache_dir or 'disabled'}, "
-        f"journal={args.journal or 'disabled'}, recovered={recovered})",
+        f"journal={args.journal or 'memory'}, recovered={recovered})",
         flush=True,
     )
 

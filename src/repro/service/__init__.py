@@ -5,12 +5,13 @@ This package turns the one-shot synthesizer into a long-lived service:
 * :mod:`repro.service.digest` — content addresses for lift requests.
 * :mod:`repro.service.store` — persistent, crash-safe result store keyed
   by request digest, with provenance metadata and hit/miss counters.
-* :mod:`repro.service.journal` — crash-safe SQLite (WAL) job journal:
-  durable queue rows, atomic state transitions, recovery with bounded
-  retries and persistent counters.
-* :mod:`repro.service.scheduler` — priority job queue with in-flight
-  deduplication, per-job timeouts, transient-failure retry/backoff and a
-  thread/process worker pool, optionally journal-backed.
+* :mod:`repro.service.journal` — the SQLite job journal, the only job
+  queue: in memory by default, a crash-safe WAL file when durable; atomic
+  state transitions, recovery with bounded retries and persistent
+  counters.
+* :mod:`repro.service.scheduler` — the worker pool over the journal, with
+  in-flight deduplication, per-job timeouts, transient-failure
+  retry/backoff and a thread/process execution backend.
 * :mod:`repro.service.faults` — fault-injection harness (named failure
   points, env-configurable, JSONL event log) proving the failure paths.
 * :mod:`repro.service.api` — :class:`LiftingService`, the submit /

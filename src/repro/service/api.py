@@ -303,10 +303,13 @@ def _decode_request(raw: str) -> LiftRequest:
 class LiftingService:
     """Submit/status/result/batch over a store-backed scheduler.
 
-    With ``journal`` set, the scheduler runs on the crash-safe SQLite job
-    journal: submissions survive restarts, orphaned jobs are recovered
-    with bounded retries, and several service processes can share one
-    journal + store volume.  ``max_queue_depth`` enables admission
+    The scheduler's queue is always a SQLite job journal.  Without
+    ``journal`` it is a private in-memory one; with ``journal`` (a path or
+    a :class:`JobJournal`) it is a crash-safe file: submissions survive
+    restarts, orphaned jobs are recovered with bounded retries, and several
+    service processes can share one journal + store volume.  Status and
+    result lookups fall back to the journal rows for jobs that left the
+    scheduler's retention ring.  ``max_queue_depth`` enables admission
     control: past the threshold, fresh work is refused with
     :class:`ServiceOverloadedError` (HTTP 429 + Retry-After derived from
     the measured drain rate) — dedup attaches and store answers are still
@@ -337,7 +340,6 @@ class LiftingService:
         )
         if journal is not None and not isinstance(journal, JobJournal):
             journal = JobJournal(journal)
-        self._journal = journal
         self._default_timeout = default_timeout
         self._max_queue_depth = (
             max(0, int(max_queue_depth)) if max_queue_depth is not None else None
@@ -355,11 +357,6 @@ class LiftingService:
             "repro_requests_rejected_total",
             "Requests refused by admission control (HTTP 429)",
         )
-        # Rejections are ops telemetry worth keeping across restarts: the
-        # journal's meta table persists the lifetime count, which seeds the
-        # counter so the exposed total stays lifetime-accurate.
-        if self._journal is not None:
-            self._rejected.inc(self._journal.meta_get("rejected_total"))
         self.metrics.gauge(
             "repro_service_uptime_seconds",
             "Seconds since this service process started",
@@ -379,9 +376,8 @@ class LiftingService:
                     fn=lambda key=key: store.stats().get(key, 0),
                 )
         # Similarity seeding: partial application keeps the executor
-        # module-level (picklable for a child process) and
-        # signature-inspectable (cooperative budgets still engage); the probe
-        # feeds the scheduler's repro_retrieval_* counters on store misses.
+        # module-level (picklable for a child process); the probe feeds the
+        # scheduler's repro_retrieval_* counters on store misses.
         executor = execute_request
         retrieval_probe = None
         if seed_from_store:
@@ -397,12 +393,17 @@ class LiftingService:
             workers=workers,
             execution=execution,
             provenance=lambda request: {"request": request.to_payload()},
-            journal=self._journal,
+            journal=journal,
             max_attempts=max_attempts,
             payload_codec=(_encode_request, _decode_request),
             metrics=self.metrics,
             retrieval_probe=retrieval_probe,
         )
+        self._journal = self._scheduler.journal
+        # Rejections are ops telemetry worth keeping across restarts: the
+        # journal's meta table persists the lifetime count, which seeds the
+        # counter so the exposed total stays lifetime-accurate.
+        self._rejected.inc(self._journal.meta_get("rejected_total"))
 
     @property
     def store(self) -> Optional[ResultStore]:
@@ -413,7 +414,7 @@ class LiftingService:
         return self._scheduler
 
     @property
-    def journal(self) -> Optional[JobJournal]:
+    def journal(self) -> JobJournal:
         return self._journal
 
     # ------------------------------------------------------------------ #
@@ -437,10 +438,7 @@ class LiftingService:
             if depth >= self._max_queue_depth and not self._would_attach(digest):
                 retry_after = self._scheduler.estimate_retry_after(depth)
                 self._rejected.inc()
-                if self._journal is not None:
-                    self._journal.meta_set(
-                        "rejected_total", int(self._rejected.value)
-                    )
+                self._journal.meta_set("rejected_total", int(self._rejected.value))
                 faults.log_event(
                     "job.rejected", digest=digest, depth=depth,
                     retry_after=retry_after,
@@ -461,39 +459,25 @@ class LiftingService:
         return [self.submit(request) for request in requests]
 
     def status(self, job_id: str) -> Optional[Dict[str, object]]:
-        """Job status: live scheduler view, journal row, or eviction crumb.
+        """Job status: the live scheduler view, else the journal row.
 
-        The fallback chain is what makes lookups survive both restarts
-        (journal rows persist) and retention-ring eviction (the crumb
-        distinguishes "evicted" from "never existed", and says whether the
-        stored result is still available).
+        Journal rows outlive both restarts (with a journal file) and the
+        scheduler's retention ring.
         """
         job = self._scheduler.job(job_id)
         if job is not None:
             return job.status_dict()
         row = self._scheduler.journal_row(job_id)
-        if row is not None:
-            return row.status_dict()
-        digest = self._scheduler.evicted_digest(job_id)
-        if digest is not None:
-            status: Dict[str, object] = {
-                "id": job_id,
-                "digest": digest,
-                "state": "evicted",
-                "evicted": True,
-                "stored": self._store is not None and digest in self._store,
-            }
-            return status
-        return None
+        return row.status_dict() if row is not None else None
 
     def result(
         self, job_id: str, wait: Optional[float] = None
     ) -> Optional[Dict[str, object]]:
         """The finished job's report (or None if unknown / still running).
 
-        Jobs that fell out of the in-memory ring are served from the
-        journal + content-addressed store: a terminal journal row (or an
-        eviction crumb) whose digest is stored yields the stored report.
+        Jobs without a live handle are served from the journal +
+        content-addressed store: a terminal journal row whose digest is
+        stored yields the stored report.
         """
         job = self._scheduler.job(job_id)
         if job is not None:
@@ -507,40 +491,27 @@ class LiftingService:
             )
             return result
         row = self._scheduler.journal_row(job_id)
-        if row is not None:
-            if not row.terminal:
-                return None
-            result = row.status_dict()
-            result["report"] = None
-            if self._store is not None:
-                entry = self._store.get(row.digest)
-                if entry is not None:
-                    result["report"] = entry.report.to_json_dict()
-            return result
-        digest = self._scheduler.evicted_digest(job_id)
-        if digest is not None and self._store is not None:
-            entry = self._store.get(digest)
+        if row is None or not row.terminal:
+            return None
+        result = row.status_dict()
+        result["report"] = None
+        if self._store is not None:
+            entry = self._store.get(row.digest)
             if entry is not None:
-                return {
-                    "id": job_id,
-                    "digest": digest,
-                    "state": "evicted",
-                    "evicted": True,
-                    "cached": True,
-                    "report": entry.report.to_json_dict(),
-                }
-        return None
+                result["report"] = entry.report.to_json_dict()
+        return result
 
     def health(self) -> Dict[str, object]:
         """``GET /healthz``: liveness, backlog gauges, and provenance."""
         from .. import __version__
 
         oldest = self._scheduler.oldest_queued_age()
+        path = self._journal.path
         return {
             "ok": True,
             "queue_depth": self._scheduler.queue_depth(),
             "oldest_queued_age": oldest,
-            "journal": str(self._journal.path) if self._journal else None,
+            "journal": str(path) if path is not None else None,
             "uptime_seconds": round(time.time() - self._started_at, 3),
             "git_sha": self._git_sha,
             "version": __version__,
@@ -571,9 +542,9 @@ class LiftingService:
     def close(self, drain: Optional[bool] = None) -> None:
         """Shut down: stop workers, flush counters, close the journal.
 
-        With a journal, queued jobs are left journaled for the next start
-        (``drain=False``) unless the caller insists on draining; without
-        one, the historical drain-everything behaviour is kept.
+        A journal file keeps its queued jobs for the next start
+        (``drain=False``) unless the caller insists on draining; an
+        in-memory journal drains first, since its rows die with it.
         """
         self._scheduler.shutdown(drain=drain)
         tracer = obs_trace.writer()
@@ -584,9 +555,8 @@ class LiftingService:
             tracer.event(
                 "service", "service", "service.metrics", **self.metrics.snapshot()
             )
-        if self._journal is not None:
-            self._journal.meta_set("rejected_total", int(self._rejected.value))
-            self._journal.close()
+        self._journal.meta_set("rejected_total", int(self._rejected.value))
+        self._journal.close()
 
     def __enter__(self) -> "LiftingService":
         return self

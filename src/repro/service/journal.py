@@ -1,11 +1,13 @@
-"""Crash-safe SQLite job journal for the lifting service.
+"""The SQLite job journal: the lifting service's only job queue.
 
-The journal is the durable half of the scheduler: every job submitted to
-a journal-backed :class:`repro.service.scheduler.JobScheduler` is written
-to one SQLite database (WAL mode) *before* it is queued in memory, every
-state transition is mirrored as a single atomic ``UPDATE ... WHERE
-state = ?`` statement, and on startup the scheduler replays the journal —
-so a ``kill -9``, an OOM kill or a plain restart loses no submissions.
+Every job a :class:`repro.service.scheduler.JobScheduler` runs is a row in
+one SQLite database.  Workers claim rows from it, every state transition
+is a single atomic ``UPDATE ... WHERE state = ?`` statement, and the
+scheduler's queue depth, dedup and retry bookkeeping are all queries over
+it.  Without ``--journal`` the database is a private ``:memory:`` one: the
+same schema and SQL, gone with the process.  With a file (WAL mode) the
+queue is durable: on startup the scheduler replays it, so a ``kill -9``,
+an OOM kill or a plain restart loses no submissions.
 
 Design points:
 
@@ -13,12 +15,16 @@ Design points:
   state, priority, timeout, the JSON-encoded payload (so a fresh process
   can re-materialise the job), attempt/backoff bookkeeping and the full
   provenance timestamps.  A partial unique index over *active* digests
-  enforces in-flight deduplication across processes: two servers sharing a
-  volume cannot both enqueue the same digest.
+  enforces in-flight deduplication, across processes when a file is
+  shared: two servers on one volume cannot both enqueue the same digest.
 * **Atomic transitions.**  ``claim``/``finish``/``requeue`` are single
-  guarded ``UPDATE`` statements; the rowcount says whether this process
+  guarded ``UPDATE`` statements; the rowcount says whether this worker
   won the transition.  N workers — threads or whole server processes —
   drain one queue without a coordinator.
+* **Bounded size.**  Finishing a job deletes terminal rows once
+  :data:`TERMINAL_ROW_RETENTION` newer rows exist; active rows are never
+  deleted.  The surviving rows answer status lookups for jobs that aged
+  out of the scheduler's in-memory retention ring.
 * **Crash recovery.**  :meth:`recover` re-adopts ``QUEUED`` rows and marks
   orphaned ``RUNNING`` rows (owner process dead, or stale past its budget
   plus grace) ``INTERRUPTED``, then re-enqueues them with exponential
@@ -63,6 +69,13 @@ DEFAULT_MAX_ATTEMPTS = 3
 #: a thundering herd of recovered jobs still spreads out).
 BACKOFF_BASE_SECONDS = 0.25
 BACKOFF_CAP_SECONDS = 30.0
+
+#: When a job finishes, terminal rows with at least this many newer rows
+#: are deleted; active rows never are.
+TERMINAL_ROW_RETENTION = 4096
+
+#: The ``JobJournal`` path of a private, non-durable in-memory queue.
+MEMORY = ":memory:"
 
 #: Extra slack past ``started_at + timeout`` before a RUNNING row owned by
 #: an unreachable process (e.g. another host on a shared volume) is
@@ -203,27 +216,39 @@ class JobRow:
 
 
 class JobJournal:
-    """The SQLite-backed durable job queue behind the scheduler."""
+    """The SQLite job queue behind the scheduler.
 
-    def __init__(self, path: Union[str, Path]) -> None:
-        self._path = resolve_journal_path(path)
-        self._path.parent.mkdir(parents=True, exist_ok=True)
+    ``path`` names a database file (or a directory that gets
+    :data:`DEFAULT_JOURNAL_NAME`); :data:`MEMORY` opens a private in-memory
+    database instead.  The one connection is shared across threads under
+    the journal's lock.
+    """
+
+    def __init__(self, path: Union[str, Path] = MEMORY) -> None:
+        self._path = None if str(path) == MEMORY else resolve_journal_path(path)
+        if self._path is not None:
+            self._path.parent.mkdir(parents=True, exist_ok=True)
         self._lock = threading.RLock()
+        # Autocommit: every statement is its own transaction, with no
+        # separate BEGIN/COMMIT round trips (each releases the GIL).
         self._conn = sqlite3.connect(
-            str(self._path), check_same_thread=False, timeout=30.0
+            str(self._path or MEMORY),
+            check_same_thread=False,
+            timeout=30.0,
+            isolation_level=None,
         )
         with self._lock:
             self._conn.execute("PRAGMA journal_mode=WAL")
             self._conn.execute("PRAGMA synchronous=NORMAL")
             self._conn.execute("PRAGMA busy_timeout=30000")
             self._conn.executescript(_SCHEMA)
-            self._conn.commit()
 
     # ------------------------------------------------------------------ #
     # Plumbing
     # ------------------------------------------------------------------ #
     @property
-    def path(self) -> Path:
+    def path(self) -> Optional[Path]:
+        """The database file, or None for an in-memory journal."""
         return self._path
 
     @staticmethod
@@ -233,9 +258,24 @@ class JobJournal:
 
     def _execute(self, sql: str, params: Sequence[object] = ()) -> sqlite3.Cursor:
         with self._lock:
-            cursor = self._conn.execute(sql, params)
-            self._conn.commit()
-            return cursor
+            return self._conn.execute(sql, params)
+
+    def _write_terminal(self, sql: str, params: Sequence[object]) -> int:
+        """Run a statement that makes a row terminal, then prune old ones.
+
+        Returns the statement's rowcount.  The prune deletes terminal rows
+        below the newest :data:`TERMINAL_ROW_RETENTION` rowids; ``+state``
+        keeps SQLite on the rowid range instead of scanning the state index.
+        """
+        with self._lock:
+            changed = self._conn.execute(sql, params).rowcount
+            if changed:
+                self._conn.execute(
+                    "DELETE FROM jobs WHERE rowid <= (SELECT MAX(rowid) FROM jobs)"
+                    " - ? AND +state IN ('succeeded', 'failed', 'cancelled')",
+                    (TERMINAL_ROW_RETENTION,),
+                )
+            return changed
 
     def close(self) -> None:
         with self._lock:
@@ -256,8 +296,8 @@ class JobJournal:
         """Journal a fresh QUEUED job.
 
         Raises :class:`DuplicateActiveDigest` when another row for the same
-        digest is already queued or running — the cross-process half of the
-        scheduler's in-flight deduplication.
+        digest is already queued or running — the scheduler's in-flight
+        deduplication, across every process sharing the journal.
         """
         try:
             self._execute(
@@ -288,7 +328,7 @@ class JobJournal:
     ) -> None:
         """Journal a store-answered job directly in its terminal state."""
         now = self._now()
-        self._execute(
+        self._write_terminal(
             "INSERT OR IGNORE INTO jobs (id, digest, state, priority, timeout,"
             " payload, cached, created_at, finished_at)"
             " VALUES (?, ?, 'succeeded', ?, ?, ?, 1, ?, ?)",
@@ -325,12 +365,11 @@ class JobJournal:
         if state not in _TERMINAL_STATES:
             raise ValueError(f"finish() needs a terminal state, got {state!r}")
         marks = ", ".join("?" for _ in from_states)
-        cursor = self._execute(
+        return self._write_terminal(
             f"UPDATE jobs SET state = ?, error = ?, cached = ?, finished_at = ?"
             f" WHERE id = ? AND state IN ({marks})",
             (state, error, int(cached), self._now(), job_id, *from_states),
-        )
-        return cursor.rowcount == 1
+        ) == 1
 
     def requeue(
         self, job_id: str, error: str = "", from_state: str = "running"

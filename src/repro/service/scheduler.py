@@ -1,40 +1,50 @@
 """Async job scheduler for the lifting service.
 
-The scheduler owns a priority queue of lift jobs and a pool of workers
-that drain it.  Service-level behaviours live here rather than in the
-synthesizer:
+The scheduler runs lift jobs from one queue, a
+:class:`repro.service.journal.JobJournal`, with a pool of workers that
+drain it.  Without a journal argument the queue is a private in-memory
+SQLite database; with one it is a durable file that survives restarts and
+can be shared by several server processes.  Either way there is one code
+path.  Service-level behaviours live here rather than in the synthesizer:
 
 * **Deduplication** — a submission whose request digest matches a job that
   is already queued or running attaches to that job instead of enqueueing
-  a second copy; a submission whose digest is already in the result store
-  completes immediately without touching the queue at all.  With a journal
-  attached, both halves survive restarts and span processes: the journal's
-  partial unique index refuses a second active row per digest no matter
-  which server inserted the first.
+  a second copy; the journal's partial unique index refuses a second
+  active row per digest, no matter which process inserted the first.  A
+  submission whose digest is already in the result store completes
+  immediately and is recorded as a terminal row without being queued.
 * **Prioritisation** — jobs carry an integer priority (lower runs first);
   ties are broken by submission order, so equal-priority traffic is FIFO.
-* **Durability** — with a :class:`repro.service.journal.JobJournal`
-  attached, every submission is journaled *before* it is queued, every
-  state transition is a guarded SQLite ``UPDATE``, and construction
-  replays the journal: ``QUEUED`` rows are re-adopted and orphaned
+* **Claiming** — a worker asks the journal for eligible rows and wins one
+  with its atomic ``claim``.  It runs the local :class:`Job` handle when
+  this process submitted the job and the handle is live; otherwise (a
+  recovered row, another process's submission, a row requeued by ``repro
+  jobs --requeue``) it materialises a fresh handle from the row.
+* **The row is the authority** — a local handle this process is not
+  running follows its row when another process sharing the journal acts
+  on it: a row claimed elsewhere answers for itself, a row finished
+  elsewhere finishes the handle, and a row queued again replaces a
+  finished handle.  Lookups check this, and idle workers check every
+  queued handle.
+* **Durability** — every state transition is a guarded SQLite
+  ``UPDATE``.  With a journal file the queue outlives the process, and
+  construction replays it: ``QUEUED`` rows are adopted and orphaned
   ``RUNNING`` rows are marked ``INTERRUPTED`` and re-enqueued with
   exponential backoff + deterministic jitter, up to each row's bounded
-  ``max_attempts``.  Several worker threads — or several server processes
-  sharing a volume — drain one queue; the journal's atomic ``claim`` is
-  the arbitration point.
+  ``max_attempts``.
 * **Retry with backoff** — a *transient* failure (``OSError``, which
   covers oracle socket flakes, injected :class:`~repro.service.faults.
   TransientFault`\\ s and kin) re-enqueues the job with backoff instead of
   failing it, up to ``max_attempts`` runs; deterministic failures
   (anything that is not an ``OSError``) fail immediately.  Result-store
   writes get their own small in-place retry loop.
-* **Timeouts & cancellation** — each job carries a wall-clock budget.
-  With a budget-aware executor such as
-  :func:`repro.service.api.execute_request` the budget becomes a
-  cooperative :class:`repro.lifting.Budget` threaded through the whole
-  pipeline — oracle, search and validator all poll it — so a deadline
-  stops the synthesis and reports ``timed_out`` instead of abandoning the
-  worker, and ``cancel()`` stops a running job.
+* **Timeouts & cancellation** — each job runs under a cooperative
+  :class:`repro.lifting.Budget` built from its wall-clock timeout.  The
+  executor (such as :func:`repro.service.api.execute_request`) takes it as
+  ``budget=`` and threads it through the whole pipeline — oracle, search
+  and validator all poll it — so a deadline stops the synthesis and
+  reports ``timed_out`` instead of abandoning the worker, and ``cancel()``
+  stops a running job.
 
 Workers are threads; the ``execution`` backend decides where a job's lift
 runs.  On threads the worker calls the executor in-process (cheap, shares
@@ -50,18 +60,15 @@ outlives its job.
 from __future__ import annotations
 
 import functools
-import heapq
-import inspect
-import itertools
 import json
 import math
 import threading
 import time
 import uuid
-from collections import OrderedDict, deque
+from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from ..core.result import SynthesisReport
 from ..lifting import Budget, LiftObserver
@@ -77,21 +84,20 @@ from .journal import (
     DuplicateActiveDigest,
     JobJournal,
     JobRow,
-    backoff_seconds,
     owner_token,
 )
 from .store import ResultStore
 
-#: How many *terminal* jobs the scheduler remembers for status/result
-#: lookups.  Older finished jobs are evicted (their results live on in the
-#: store, keyed by digest), which bounds memory in a long-lived service.
+#: How many *terminal* job handles the scheduler keeps for status/result
+#: lookups.  Older finished jobs answer from their journal rows (and their
+#: results from the store, keyed by digest), which bounds memory in a
+#: long-lived service.
 DEFAULT_JOB_RETENTION = 1024
 
-#: How many evicted-job id → digest crumbs are kept so ``GET /status`` /
-#: ``GET /result`` can distinguish "evicted" (and serve the stored result)
-#: from "never existed".  Crumbs are two small strings, so this can be
-#: comfortably larger than the job retention ring.
-EVICTED_DIGEST_RETENTION = 4096
+#: Longest an idle worker sleeps before asking the journal for work again
+#: (submissions and retries wake it sooner; rows that other processes
+#: insert, or whose backoff expires, are found by this poll).
+CLAIM_POLL_SECONDS = 0.1
 
 #: In-place retry budget for result-store writes (transient ``OSError``).
 STORE_WRITE_ATTEMPTS = 3
@@ -135,15 +141,12 @@ class Job:
     #: How many runs this job has consumed (restart-interrupted and
     #: transiently-failed runs count; the journal persists this).
     attempts: int = 0
-    #: Earliest wall-clock time the job may (re)run — retry backoff.
-    not_before: float = 0.0
     #: Live pipeline progress ("oracle", "search:2048", ...) on threads.
     stage: str = ""
     created_at: float = field(default_factory=time.time)
     started_at: Optional[float] = None
     finished_at: Optional[float] = None
-    #: The cooperative budget bounding this job's run (budget-aware
-    #: executors only).
+    #: The cooperative budget bounding this job's run (set by the claim).
     budget: Optional[Budget] = field(default=None, repr=False)
     #: Set (under the scheduler lock) once the finished report is committed:
     #: from then on `cancel()` refuses rather than racing the store write.
@@ -228,22 +231,6 @@ class _JobObserver(LiftObserver):
         self._job.stage = f"portfolio winner:{member}"
 
 
-def _accepts_budget(executor: Callable) -> bool:
-    """True when *executor* takes ``budget``/``observer`` keyword arguments.
-
-    The scheduler only threads cooperative budgets into executors that opt
-    in via their signature (like :func:`repro.service.api.execute_request`);
-    plain single-argument executors keep the legacy calling convention.
-    """
-    try:
-        parameters = inspect.signature(executor).parameters
-    except (TypeError, ValueError):  # pragma: no cover - builtins, C callables
-        return False
-    if any(p.kind is inspect.Parameter.VAR_KEYWORD for p in parameters.values()):
-        return True
-    return "budget" in parameters and "observer" in parameters
-
-
 def _execute(
     executor: Callable, payload: object, budget: Budget, observer: object
 ) -> SynthesisReport:
@@ -265,12 +252,12 @@ def _is_transient(error: BaseException) -> bool:
 
 
 class JobScheduler:
-    """Priority queue + worker pool with dedup, store hits, retries and
-    (optionally) a crash-safe SQLite journal underneath."""
+    """Worker pool over one :class:`JobJournal` queue, with dedup, store
+    hits and retries (an in-memory journal unless one is given)."""
 
     def __init__(
         self,
-        executor: Callable[[object], SynthesisReport],
+        executor: Callable[..., SynthesisReport],
         store: Optional[ResultStore] = None,
         workers: int = 2,
         provenance: Optional[Callable[[object], Dict[str, object]]] = None,
@@ -288,16 +275,11 @@ class JobScheduler:
             workers = execution.resolved_workers()
         if workers < 1:
             raise ValueError(f"scheduler needs at least one worker, got {workers}")
+        #: Called as ``executor(payload, budget=..., observer=...)``.
         self._executor = executor
-        self._cooperative = _accepts_budget(executor)
         #: The child-process transport for process-backed jobs, else None.
         self._transport = None
         if execution is not None and execution.uses_processes:
-            if not self._cooperative:
-                raise ValueError(
-                    "process-backed jobs need a budget-aware executor "
-                    "(one taking budget= and observer= keywords)"
-                )
             self._transport = transport_for(execution)
         self._store = store
         self._provenance = provenance
@@ -306,24 +288,19 @@ class JobScheduler:
         #: with (0 when the index is disarmed).  Purely observational — the
         #: seeding itself happens inside the executor's pipeline.
         self._retrieval_probe = retrieval_probe
-        self._journal = journal
+        self._journal = journal if journal is not None else JobJournal()
         self._owner = owner_token()
         self._max_attempts = max(1, int(max_attempts))
         encode, decode = payload_codec or (json.dumps, json.loads)
         self._encode_payload = encode
         self._decode_payload = decode
-        self._queue: List[Tuple[int, int, Job]] = []
-        self._sequence = itertools.count()
         self._lock = threading.Lock()
         self._work_ready = threading.Condition(self._lock)
-        self._active: Dict[str, Job] = {}  # digest -> queued/running job
-        self._jobs: Dict[str, Job] = {}  # id -> job (all states)
+        #: id -> live handle: this process's queued/running jobs plus the
+        #: newest terminal ones (the retention ring).
+        self._jobs: Dict[str, Job] = {}
         self._retention = max(1, int(job_retention))
         self._finished_order: deque = deque()  # terminal job ids, oldest first
-        #: id -> digest crumbs for jobs evicted from the retention ring, so
-        #: the HTTP layer can answer "evicted, stored result available"
-        #: instead of an indistinct 404.
-        self._evicted_digests: "OrderedDict[str, str]" = OrderedDict()
         self._shutdown = False
         self._drain_on_shutdown = True
         # Lifetime counters live on the metrics registry, so GET /stats and
@@ -398,8 +375,7 @@ class JobScheduler:
         #: (finished_at, duration) of recent terminal jobs — the drain-rate
         #: sample backing Retry-After estimates.
         self._recent_finishes: deque = deque(maxlen=32)
-        if self._journal is not None:
-            self._recover_from_journal()
+        self._recover_from_journal()
         self._workers = [
             threading.Thread(
                 target=self._worker_loop, name=f"lift-worker-{i}", daemon=True
@@ -410,54 +386,48 @@ class JobScheduler:
             thread.start()
 
     # ------------------------------------------------------------------ #
-    # Journal recovery / rehydration
+    # Journal rows -> job handles
     # ------------------------------------------------------------------ #
-    def _materialize(self, row: JobRow) -> Optional[Job]:
-        """A :class:`Job` for a journal row (None + journal FAILED on rot)."""
-        try:
-            payload = self._decode_payload(row.payload)
-        except Exception as error:  # noqa: BLE001 - rot must not kill startup
-            self._journal.finish(
-                row.id, "failed", error=f"unreadable journaled payload: {error}"
-            )
-            return None
+    @property
+    def journal(self) -> JobJournal:
+        return self._journal
+
+    def _materialize(self, row: JobRow, payload: object = None) -> Job:
+        """A :class:`Job` handle for a journal row.
+
+        Decodes the row's payload unless the caller already holds it;
+        raises when the journaled payload is unreadable.
+        """
         job = Job(
             id=row.id,
             digest=row.digest,
-            payload=payload,
+            payload=self._decode_payload(row.payload) if payload is None else payload,
             priority=int(row.priority),
             timeout=row.timeout,
+            state=JobState(row.state),
             submissions=int(row.submissions),
             attempts=int(row.attempts),
-            not_before=float(row.not_before),
             created_at=float(row.created_at),
         )
         job.error = row.error or ""
         return job
 
     def _recover_from_journal(self) -> None:
-        """Adopt every runnable journal row at startup (crash recovery)."""
+        """Replay the journal at startup (crash recovery).
+
+        Recovered rows stay queued in the journal; a worker materialises
+        each one when it claims it.
+        """
         runnable, _failed = self._journal.recover()
-        adopted = 0
         for row in runnable:
-            job = self._materialize(row)
-            if job is None:
-                continue
-            with self._lock:
-                if job.id in self._jobs or job.digest in self._active:
-                    continue
-                self._jobs[job.id] = job
-                self._active[job.digest] = job
-                heapq.heappush(self._queue, (job.priority, next(self._sequence), job))
-            adopted += 1
             faults.log_event(
-                "job.recovered", id=job.id, digest=job.digest, attempts=job.attempts
+                "job.recovered", id=row.id, digest=row.digest, attempts=row.attempts
             )
-        self._recovered.inc(adopted)
-        if adopted:
+        self._recovered.inc(len(runnable))
+        if runnable:
             self._journal.meta_set(
                 "recovered_total",
-                self._journal.meta_get("recovered_total") + adopted,
+                self._journal.meta_get("recovered_total") + len(runnable),
             )
 
     # ------------------------------------------------------------------ #
@@ -473,69 +443,61 @@ class JobScheduler:
         """Schedule a lift; may return an existing (deduplicated) job.
 
         The returned job is immediately terminal when the digest was
-        already answered in the result store.  With a journal attached the
-        submission is journaled before it is queued, so it survives a
-        crash from this point on.
+        already answered in the result store.  Otherwise the submission is
+        a journal row before this returns, so with a journal file it
+        survives a crash from this point on.
         """
         with self._lock:
             if self._shutdown:
                 raise RuntimeError("scheduler is shut down")
-            existing = self._active.get(digest)
-            if existing is not None:
-                existing.submissions += 1
-                self._deduplicated.inc()
-                if self._journal is not None:
-                    self._journal.record_attach(existing.id)
-                return existing
+        active = self._journal.active_for_digest(digest)
+        if active is not None:
+            return self._attach(active.id, digest, payload)
+        job = Job(
+            id=f"job-{uuid.uuid4().hex[:10]}-{digest[:8]}",
+            digest=digest,
+            payload=payload,
+            priority=priority,
+            timeout=timeout,
+        )
+        encoded = self._encode_json_payload(payload)
         if self._store is not None:
             entry = self._store.get(digest)
             if entry is not None:
-                job = self._make_job(digest, payload, priority, timeout)
                 job.report = entry.report
                 job.cached = True
                 with self._lock:
                     self._store_answers.inc()
-                    self._jobs[job.id] = job
-                if self._journal is not None:
-                    self._journal.record_cached(
-                        job.id, digest, self._encode_json_payload(payload),
-                        priority=priority, timeout=timeout,
-                    )
+                self._journal.record_cached(
+                    job.id, digest, encoded, priority=priority, timeout=timeout
+                )
                 self._finish(job, JobState.SUCCEEDED)
                 return job
         # Cold work from here on: before queueing, ask the retrieval layer
         # whether similar solved kernels exist to seed this lift with.
         self._probe_retrieval(payload, digest)
-        job = self._make_job(digest, payload, priority, timeout)
-        if self._journal is not None:
+        with self._work_ready:
             try:
                 self._journal.insert(
                     job.id,
                     digest,
-                    self._encode_json_payload(payload),
+                    encoded,
                     priority=priority,
                     timeout=timeout,
                     max_attempts=self._max_attempts,
                 )
             except DuplicateActiveDigest as duplicate:
-                return self._attach_to_journaled(duplicate, payload)
-        with self._lock:
-            # Re-check under the lock: another thread may have enqueued the
-            # same digest while we probed the store / wrote the journal.
-            existing = self._active.get(digest)
-            if existing is not None:
-                existing.submissions += 1
-                self._deduplicated.inc()
-                if self._journal is not None:
-                    self._journal.record_attach(existing.id)
-                    self._journal.finish(
-                        job.id, "cancelled", error="coalesced onto " + existing.id
-                    )
-                return existing
-            self._jobs[job.id] = job
-            self._active[digest] = job
-            heapq.heappush(self._queue, (priority, next(self._sequence), job))
-            self._work_ready.notify()
+                existing_id = duplicate.existing_id
+            else:
+                # Registered under the lock workers claim under, so a claim
+                # finds this handle rather than materialising another.
+                existing_id = None
+                self._jobs[job.id] = job
+                self._work_ready.notify()
+        if existing_id is not None:
+            # Another thread or process queued the digest since the
+            # active-row check above.
+            return self._attach(existing_id, digest, payload)
         self._trace_job_event(job, "job.queued", ts=job.created_at)
         return job
 
@@ -578,133 +540,143 @@ class JobScheduler:
         except Exception:  # noqa: BLE001 - journal a marker, not nothing
             return json.dumps({"unencodable": repr(payload)})
 
-    def _attach_to_journaled(
-        self, duplicate: DuplicateActiveDigest, payload: object
-    ) -> Job:
-        """Coalesce onto an active row owned by this or another process."""
-        with self._lock:
-            local = self._jobs.get(duplicate.existing_id)
-            if local is not None and not local.state.terminal:
-                local.submissions += 1
-                self._deduplicated.inc()
-                self._journal.record_attach(local.id)
-                return local
-        # The active row belongs to another server process sharing this
-        # journal.  Record the attach and hand back a snapshot job; its id
-        # resolves via the journal for status/result lookups.
-        self._journal.record_attach(duplicate.existing_id)
+    def _attach(self, job_id: str, digest: str, payload: object) -> Job:
+        """Coalesce a submission onto the active job *job_id*.
+
+        The caller gets this process's handle for the job (see
+        :meth:`_current_locked`).  An active row with no local handle
+        belongs to another process sharing the journal; the caller gets a
+        snapshot whose id resolves through the journal.
+        """
         with self._lock:
             self._deduplicated.inc()
-        row = self._journal.row(duplicate.existing_id)
-        snapshot = self._materialize(row) if row is not None else None
-        if snapshot is None:  # pragma: no cover - row vanished mid-attach
-            snapshot = Job(
-                id=duplicate.existing_id, digest=duplicate.digest, payload=payload
-            )
-        try:
-            snapshot.state = JobState(row.state) if row is not None else JobState.QUEUED
-        except ValueError:  # pragma: no cover - unknown journal state
-            snapshot.state = JobState.QUEUED
-        return snapshot
+            job = self._current_locked(job_id)
+            if job is not None:
+                job.submissions += 1
+        self._journal.record_attach(job_id)
+        if job is not None:
+            return job
+        row = self._journal.row(job_id)
+        if row is None:  # pragma: no cover - row pruned mid-attach
+            return Job(id=job_id, digest=digest, payload=payload)
+        return self._materialize(row, payload)
 
-    def _make_job(
-        self, digest: str, payload: object, priority: int, timeout: Optional[float]
-    ) -> Job:
-        if self._journal is not None:
-            # Journal ids must stay unique across restarts and across
-            # processes sharing the database; a per-process sequence is not.
-            job_id = f"job-{uuid.uuid4().hex[:10]}-{digest[:8]}"
-        else:
-            with self._lock:
-                number = next(self._sequence)
-            job_id = f"job-{number:06d}-{digest[:8]}"
-        return Job(
-            id=job_id,
-            digest=digest,
-            payload=payload,
-            priority=priority,
-            timeout=timeout,
-        )
+    def _current_locked(self, job_id: str) -> Optional[Job]:
+        """This process's handle for *job_id*, brought in line with its row.
+
+        A running handle is the authority; any other handle follows the
+        journal row, which another process sharing the file may have moved:
+
+        * row claimed elsewhere (handle still queued): None, the row answers;
+        * row finished elsewhere: the handle is finished from the row;
+        * row queued again after the handle finished (``repro jobs
+          --requeue``): the old handle's done event is already set, so a
+          fresh handle from the row replaces it.
+
+        A finished handle whose row is still running is returned as is:
+        its finish is being written, and its ``wait()`` has returned.
+        """
+        job = self._jobs.get(job_id)
+        if job is None or job.state is JobState.RUNNING:
+            return job
+        row = self._journal.row(job_id)
+        if row is None:
+            if job.state is JobState.QUEUED:  # finished elsewhere, pruned since
+                del self._jobs[job_id]
+                return None
+            return job
+        if row.state == JobState.QUEUED.value:
+            if job.state.terminal:
+                job = self._fresh_handle_locked(row, job)
+            return job
+        if job.state is JobState.QUEUED:
+            if not row.terminal:
+                return None
+            self._settle_locked(job, row)
+        return job
+
+    def _fresh_handle_locked(self, row: JobRow, old: Optional[Job]) -> Job:
+        """Materialise *row* as this process's handle, replacing *old* (a
+        finished handle, or None).  Raises when the payload is unreadable."""
+        job = self._materialize(row, old.payload if old is not None else None)
+        if old is not None:
+            self._finished_order.remove(row.id)
+        self._jobs[row.id] = job
+        return job
+
+    def _settle_locked(self, job: Job, row: JobRow) -> None:
+        """Finish a local queued handle from a row another process finished."""
+        job.state = JobState(row.state)
+        job.error = row.error or ""
+        job.cached = bool(row.cached)
+        job.attempts = int(row.attempts)
+        job.started_at = row.started_at
+        job.finished_at = row.finished_at
+        if job.state is JobState.SUCCEEDED and self._store is not None:
+            entry = self._store.get(job.digest)
+            if entry is not None:
+                job.report = entry.report
+        self._retire_locked(job)
+        job._done.set()
 
     # ------------------------------------------------------------------ #
     # Introspection / control
     # ------------------------------------------------------------------ #
     def job(self, job_id: str) -> Optional[Job]:
+        """This process's handle for *job_id* (None: the row answers)."""
         with self._lock:
-            return self._jobs.get(job_id)
+            return self._current_locked(job_id)
 
     def is_active(self, digest: str) -> bool:
-        """Whether *digest* has a queued/running job (here or, with a
-        journal, in any process sharing it) that a submission would join."""
-        with self._lock:
-            if digest in self._active:
-                return True
-        if self._journal is not None:
-            return self._journal.active_for_digest(digest) is not None
-        return False
-
-    def evicted_digest(self, job_id: str) -> Optional[str]:
-        """The digest of a job evicted from the retention ring, if known."""
-        with self._lock:
-            return self._evicted_digests.get(job_id)
+        """Whether *digest* has a queued/running job (in any process sharing
+        the journal) that a submission would join."""
+        return self._journal.active_for_digest(digest) is not None
 
     def journal_row(self, job_id: str) -> Optional[JobRow]:
-        """The journal's view of a job (survives restarts and eviction)."""
-        if self._journal is None:
-            return None
+        """The journal's view of a job (survives restarts and the ring)."""
         return self._journal.row(job_id)
 
     def cancel(self, job_id: str) -> bool:
         """Cancel a job.
 
-        Queued jobs are removed immediately.  A *running* job can be
-        cancelled when its executor is budget-aware, on either backend: its
-        budget's cancellation token is flipped and the synthesis pipeline
-        winds down at its next poll point, after which the job finishes as
-        CANCELLED (its truncated report is never written to the store).
+        Queued jobs (including journal rows this process holds no handle
+        for) are cancelled immediately.  A *running* job can be
+        cancelled on either backend: its budget's cancellation token is
+        flipped and the synthesis pipeline winds down at its next poll
+        point, after which the job finishes as CANCELLED (its truncated
+        report is never written to the store).
         """
         with self._lock:
-            job = self._jobs.get(job_id)
+            job = self._current_locked(job_id)
             if job is None:
-                return False
+                # A recovered row not yet claimed, or another process's.
+                return self._journal.finish(
+                    job_id, JobState.CANCELLED.value, from_states=("queued",)
+                )
             if job.state is JobState.RUNNING:
                 # A committed job's report is (being) stored; refuse rather
                 # than report a cancellation that can no longer take effect.
-                if job.budget is None or job._committed:
+                if job._committed:
                     return False
                 job.budget.cancel()
                 return True
-            if job.state is not JobState.QUEUED:
+            # The guarded transition runs under the lock workers claim
+            # under, so no worker can claim the row once it is cancelled.
+            if job.state is not JobState.QUEUED or not self._journal.finish(
+                job.id, JobState.CANCELLED.value, from_states=("queued",)
+            ):
                 return False
-            # Flip the state under the lock so a worker popping the heap
-            # concurrently sees CANCELLED and skips the job.
             job.state = JobState.CANCELLED
-            self._active.pop(job.digest, None)
         self._finish(job, JobState.CANCELLED)
         return True
 
     def queue_depth(self) -> int:
-        """Jobs waiting to run (journal-wide when a journal is attached)."""
-        if self._journal is not None:
-            return self._journal.queue_depth()
-        with self._lock:
-            return sum(
-                1 for job in self._jobs.values() if job.state is JobState.QUEUED
-            )
+        """Jobs waiting to run, journal-wide."""
+        return self._journal.queue_depth()
 
     def oldest_queued_age(self) -> Optional[float]:
         """Age (s) of the oldest queued job — the backlog staleness gauge."""
-        if self._journal is not None:
-            return self._journal.oldest_queued_age()
-        with self._lock:
-            queued = [
-                job.created_at
-                for job in self._jobs.values()
-                if job.state is JobState.QUEUED
-            ]
-        if not queued:
-            return None
-        return max(0.0, time.time() - min(queued))
+        return self._journal.oldest_queued_age()
 
     def estimate_retry_after(self, depth: Optional[int] = None) -> int:
         """Seconds an overloaded client should wait, from the drain rate.
@@ -727,20 +699,19 @@ class JobScheduler:
 
     def stats(self) -> Dict[str, object]:
         """Lifetime counters (terminal counts survive job eviction)."""
-        queue_depth = self.queue_depth()
+        counts = self._journal.counts()
         oldest = self.oldest_queued_age()
         with self._lock:
-            states = [job.state for job in self._jobs.values()]
             return {
-                "queued": sum(1 for s in states if s is JobState.QUEUED),
-                "running": sum(1 for s in states if s is JobState.RUNNING),
+                "queued": counts.get(JobState.QUEUED.value, 0),
+                "running": counts.get(JobState.RUNNING.value, 0),
                 "succeeded": int(self._finished_counts[JobState.SUCCEEDED].value),
                 "failed": int(self._finished_counts[JobState.FAILED].value),
                 "cancelled": int(self._finished_counts[JobState.CANCELLED].value),
                 "deduplicated": int(self._deduplicated.value),
                 "store_answers": int(self._store_answers.value),
                 "budget_truncated": int(self._budget_truncated.value),
-                "queue_depth": queue_depth,
+                "queue_depth": counts.get(JobState.QUEUED.value, 0),
                 "oldest_queued_age": oldest,
                 "retried": int(self._retried.value),
                 "recovered": int(self._recovered.value),
@@ -762,13 +733,13 @@ class JobScheduler:
         """Stop the workers.
 
         ``drain`` controls what happens to still-queued jobs: True finishes
-        them first (the historical in-memory behaviour — dropping them
-        would lose work forever), False stops after the jobs already
-        running (the journal-backed default — queued rows persist in the
-        journal and the next start re-adopts them).
+        them first, False stops after the jobs already running.  The
+        default drains an in-memory journal (dropping its rows would lose
+        work forever) and leaves a journal file's queued rows for the next
+        start to adopt.
         """
         if drain is None:
-            drain = self._journal is None
+            drain = self._journal.path is None
         with self._lock:
             self._shutdown = True
             self._drain_on_shutdown = drain
@@ -805,102 +776,61 @@ class JobScheduler:
                 return
             self._run_job(job)
 
-    def _forget_locked(self, job: Job) -> None:
-        """Drop a local job another process claimed through the journal."""
-        self._jobs.pop(job.id, None)
-        if self._active.get(job.digest) is job:
-            self._active.pop(job.digest, None)
-
-    def _pop_runnable_locked(self) -> Tuple[Optional[Job], Optional[float]]:
-        """Pop the best runnable heap entry; (job, seconds-until-eligible)."""
-        now = time.time()
-        deferred: List[Tuple[int, int, Job]] = []
-        claimed: Optional[Job] = None
-        delay: Optional[float] = None
-        while self._queue:
-            entry = heapq.heappop(self._queue)
-            job = entry[2]
-            if job.state is not JobState.QUEUED:
-                continue  # cancelled while queued, or a stale retry entry
-            if job.not_before > now:
-                deferred.append(entry)
-                continue
-            if self._journal is not None and not self._journal.claim(
-                job.id, self._owner
-            ):
-                # Another process won the row (or an operator moved it);
-                # our local copy is stale.
-                self._forget_locked(job)
-                continue
-            claimed = job
-            break
-        for entry in deferred:
-            heapq.heappush(self._queue, entry)
-        if claimed is None and deferred:
-            delay = max(0.0, min(e[2].not_before for e in deferred) - now)
-        return claimed, delay
-
     def _claim_next(self) -> Optional[Job]:
-        """Block until a job is claimed for this worker (None = shutdown)."""
-        while True:
-            with self._work_ready:
-                if self._shutdown and (
-                    not self._drain_on_shutdown or not self._queue
-                ):
-                    return None
-                job, delay = self._pop_runnable_locked()
-                if job is not None:
-                    # State flip + budget creation happen under the same
-                    # lock acquisition, so cancel() never observes a running
-                    # cooperative job without a budget to cancel.
-                    job.state = JobState.RUNNING
-                    job.started_at = time.time()
-                    job.attempts += 1
-                    if self._cooperative:
-                        job.budget = Budget(timeout_seconds=job.timeout)
-                    return job
-                if self._journal is None:
-                    wait = min(delay, 0.2) if delay is not None else 0.2
-                    self._work_ready.wait(wait)
-                    continue
-            # Journal mode, outside the lock: adopt rows submitted by other
-            # processes (or left over from a recovery race).
-            job = self._adopt_external()
-            if job is not None:
-                return job
-            with self._work_ready:
-                if self._shutdown and (
-                    not self._drain_on_shutdown or not self._queue
-                ):
-                    return None
-                wait = min(delay, 0.2) if delay is not None else 0.2
-                self._work_ready.wait(wait)
+        """Block until this worker claims a job (None = shutdown).
 
-    def _adopt_external(self) -> Optional[Job]:
-        """Claim an eligible journal row this process has never seen."""
-        try:
-            rows = self._journal.eligible(limit=8)
-        except Exception:  # noqa: BLE001 - a sick journal must not kill workers
-            return None
-        for row in rows:
-            with self._lock:
-                if row.id in self._jobs:
-                    continue  # local job; the heap path owns it
-            if not self._journal.claim(row.id, self._owner):
-                continue
-            job = self._materialize(row)
-            if job is None:
-                continue
-            with self._lock:
-                job.state = JobState.RUNNING
-                job.started_at = time.time()
-                job.attempts = int(row.attempts) + 1
-                self._jobs[job.id] = job
-                self._active[job.digest] = job
-                if self._cooperative:
-                    job.budget = Budget(timeout_seconds=job.timeout)
-            return job
-        return None
+        Rows are read and claimed under the scheduler lock, so a
+        submission's wake-up cannot slip in between a worker's empty read
+        and its wait.  An idle worker brings queued handles in line with
+        their rows, so a job another process claimed or cancelled still
+        completes here.
+        """
+        with self._work_ready:
+            while True:
+                try:
+                    if self._shutdown and (
+                        not self._drain_on_shutdown
+                        or not self._journal.queue_depth()
+                    ):
+                        return None
+                    for row in self._journal.eligible(limit=8):
+                        job = self._claim_locked(row)
+                        if job is not None:
+                            return job
+                    queued = [
+                        job.id for job in self._jobs.values()
+                        if job.state is JobState.QUEUED
+                    ]
+                    for job_id in queued:
+                        self._current_locked(job_id)
+                except Exception:  # noqa: BLE001 - a sick journal must not kill workers
+                    if self._shutdown:
+                        return None
+                self._work_ready.wait(CLAIM_POLL_SECONDS)
+
+    def _claim_locked(self, row: JobRow) -> Optional[Job]:
+        """Win *row* for this worker and mark its handle RUNNING."""
+        if not self._journal.claim(row.id, self._owner):
+            return None  # another worker or process won the row
+        job = self._jobs.get(row.id)
+        if job is None or job.state.terminal:
+            # A recovered row, another process's submission, or a job that
+            # finished here and was requeued since.
+            try:
+                job = self._fresh_handle_locked(row, job)
+            except Exception as error:  # noqa: BLE001 - rot must not kill workers
+                self._journal.finish(
+                    row.id, "failed", error=f"unreadable journaled payload: {error}"
+                )
+                return None
+        # State flip + budget creation happen under the same lock
+        # acquisition, so cancel() never observes a running job without a
+        # budget to cancel.
+        job.state = JobState.RUNNING
+        job.started_at = time.time()
+        job.attempts = int(row.attempts) + 1
+        job.budget = Budget(timeout_seconds=job.timeout)
+        return job
 
     def _run_in_child(self, job: Job) -> SynthesisReport:
         """Run *job*'s executor in a child process under the job's budget.
@@ -920,28 +850,23 @@ class JobScheduler:
         return run.report
 
     def _maybe_retry(self, job: Job) -> bool:
-        """Re-enqueue a transiently-failed job with backoff (True = retried)."""
-        with self._lock:
+        """Re-enqueue a transiently-failed job with backoff (True = retried).
+
+        The journal refuses once the row's ``max_attempts`` are spent.
+        """
+        with self._work_ready:
             if self._shutdown and not self._drain_on_shutdown:
                 return False
-            if job.attempts >= self._max_attempts:
+            if job.budget.cancelled:
                 return False
-            if job.budget is not None and job.budget.cancelled:
-                return False
-        if self._journal is not None:
             not_before = self._journal.requeue(job.id, error=job.error)
             if not_before is None:
                 return False
-        else:
-            not_before = time.time() + backoff_seconds(job.id, job.attempts)
-        with self._work_ready:
             job.state = JobState.QUEUED
-            job.not_before = not_before
             job.started_at = None
             job.budget = None
             job.stage = ""
             self._retried.inc()
-            heapq.heappush(self._queue, (job.priority, next(self._sequence), job))
             self._work_ready.notify()
         faults.log_event(
             "job.retry",
@@ -979,12 +904,12 @@ class JobScheduler:
         self._trace_job_event(
             job, "job.claimed", ts=job.started_at, attempts=job.attempts
         )
-        if self._journal is not None and self._store is not None:
-            # Journal-recovered and cross-process jobs may have been
-            # answered between journaling and claiming (e.g. a pre-crash
-            # worker stored the result but died before finishing the row).
-            # Serving the stored answer here is what makes "no digest is
-            # synthesized twice" hold across restarts.
+        if self._store is not None:
+            # A job may have been answered between journaling and claiming
+            # (by another process, or by a pre-crash worker that stored the
+            # result but died before finishing the row).  Serving the stored
+            # answer here is what makes "no digest is synthesized twice"
+            # hold across processes and restarts.
             entry = self._store.get(job.digest)
             if entry is not None:
                 job.report = entry.report
@@ -997,13 +922,12 @@ class JobScheduler:
         try:
             if self._transport is not None:
                 report = self._run_in_child(job)
-            elif self._cooperative:
-                # A budget-aware executor: the job's deadline becomes a
-                # cooperative budget (created by the worker loop, under the
-                # lock) threaded through the whole pipeline (oracle, search,
-                # validator), so a timeout stops the synthesis instead of
-                # abandoning the thread, and `cancel()` can stop a running
-                # job.
+            else:
+                # The job's deadline is a cooperative budget (created by
+                # the claim, under the lock) threaded through the whole
+                # pipeline (oracle, search, validator), so a timeout stops
+                # the synthesis instead of abandoning the thread, and
+                # `cancel()` can stop a running job.
                 observer: LiftObserver = _JobObserver(job)
                 tracer = obs_trace.writer()
                 if tracer is not None:
@@ -1020,8 +944,6 @@ class JobScheduler:
                 report = self._executor(
                     job.payload, budget=job.budget, observer=observer
                 )
-            else:
-                report = self._executor(job.payload)
         except BaseException as error:  # noqa: BLE001 - never kill a worker
             job.error = f"{type(error).__name__}: {error}"
             if lift_tracer is not None:
@@ -1039,12 +961,12 @@ class JobScheduler:
         # truncated; finish CANCELLED, never store) or the job is committed
         # and cancel() refuses from now on.
         with self._lock:
-            cancelled = job.budget is not None and job.budget.cancelled
+            cancelled = job.budget.cancelled
             job._committed = not cancelled
             # Deadline truncations are first-class service telemetry: a job
             # whose report was cut short by its wall-clock budget (but not
             # explicitly cancelled) counts once, surfaced via GET /stats.
-            if not cancelled and job.budget is not None and report.timed_out:
+            if not cancelled and report.timed_out:
                 self._budget_truncated.inc()
         if cancelled:
             # An explicitly cancelled run stops at an arbitrary point, so its
@@ -1061,6 +983,18 @@ class JobScheduler:
             self._store_put_with_retry(job, report)
         self._finish(job, JobState.SUCCEEDED)
 
+    def _retire_locked(self, job: Job) -> None:
+        """Keep a terminal handle in the retention ring.
+
+        Bounds memory: handles are kept only for the newest terminal jobs;
+        older ones answer from their journal rows, and completed results
+        stay in the store.
+        """
+        self._jobs[job.id] = job
+        self._finished_order.append(job.id)
+        while len(self._finished_order) > self._retention:
+            self._jobs.pop(self._finished_order.popleft(), None)
+
     def _finish(self, job: Job, state: JobState) -> None:
         with self._lock:
             job.state = state
@@ -1068,7 +1002,6 @@ class JobScheduler:
             # the authority once the job is done.
             job.stage = ""
             job.finished_at = time.time()
-            self._active.pop(job.digest, None)
             self._finished_counts[state].inc()
             duration = max(0.0, job.finished_at - (job.started_at or job.created_at))
             self._job_duration.observe(duration)
@@ -1077,25 +1010,13 @@ class JobScheduler:
                     max(0.0, job.started_at - job.created_at)
                 )
             self._recent_finishes.append((job.finished_at, duration))
-            # Bound memory: remember only the newest terminal jobs for
-            # status/result lookups; completed results stay in the store,
-            # and an id → digest crumb distinguishes "evicted" from
-            # "never existed".
-            self._finished_order.append(job.id)
-            while len(self._finished_order) > self._retention:
-                evicted_id = self._finished_order.popleft()
-                evicted_job = self._jobs.pop(evicted_id, None)
-                if evicted_job is not None:
-                    self._evicted_digests[evicted_id] = evicted_job.digest
-            while len(self._evicted_digests) > EVICTED_DIGEST_RETENTION:
-                self._evicted_digests.popitem(last=False)
-        if self._journal is not None:
-            try:
-                self._journal.finish(
-                    job.id, state.value, error=job.error, cached=job.cached
-                )
-            except Exception:  # noqa: BLE001 - a sick journal must not wedge jobs
-                pass
+            self._retire_locked(job)
+        try:
+            self._journal.finish(
+                job.id, state.value, error=job.error, cached=job.cached
+            )
+        except Exception:  # noqa: BLE001 - a sick journal must not wedge jobs
+            pass
         faults.log_event(
             "job.finished",
             id=job.id,

@@ -189,14 +189,6 @@ class _Handler(BaseHTTPRequestHandler):
             status = self.service.status(parts[1])
             if status is None:
                 self._send_error_json(f"unknown job {parts[1]!r}", 404)
-            elif status.get("evicted") and not status.get("stored"):
-                # Distinct from "unknown": the job existed but aged out of
-                # the retention ring, and its digest is no longer stored.
-                self._send_error_json(
-                    f"job {parts[1]!r} was evicted from the retention ring",
-                    404,
-                    extra=status,
-                )
             else:
                 self._send_json(status)
         elif len(parts) == 2 and parts[0] == "result":
@@ -214,17 +206,7 @@ class _Handler(BaseHTTPRequestHandler):
                 return
             result = self.service.result(parts[1], wait=wait)
             if result is None:
-                if status.get("evicted"):
-                    # Evicted and the store no longer holds the digest:
-                    # a JSON 404 that says so, not an indistinct miss.
-                    self._send_error_json(
-                        f"job {parts[1]!r} was evicted from the retention "
-                        f"ring and its result is no longer stored",
-                        404,
-                        extra=status,
-                    )
-                else:
-                    self._send_error_json(f"job {parts[1]!r} is not finished", 409)
+                self._send_error_json(f"job {parts[1]!r} is not finished", 409)
             else:
                 self._send_json(result)
         else:

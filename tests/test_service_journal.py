@@ -32,6 +32,8 @@ from repro.service import (
 from repro.service import faults
 from repro.service.journal import (
     BACKOFF_CAP_SECONDS,
+    MEMORY,
+    TERMINAL_ROW_RETENTION,
     DuplicateActiveDigest,
     owner_token,
 )
@@ -41,6 +43,21 @@ def _report(name: str = "t", success: bool = True) -> SynthesisReport:
     return SynthesisReport(task_name=name, method="test", success=success)
 
 
+def _echo(payload, budget=None, observer=None) -> SynthesisReport:
+    """An executor whose report is named after its payload."""
+    return _report(str(payload))
+
+
+def _eventually(predicate, timeout: float = 10.0) -> bool:
+    """Poll *predicate* until it holds or *timeout* seconds pass."""
+    deadline = time.time() + timeout
+    while time.time() < deadline:
+        if predicate():
+            return True
+        time.sleep(0.02)
+    return predicate()
+
+
 def _dead_pid() -> int:
     """A pid that provably belonged to a process that has exited."""
     process = subprocess.Popen(["true"])
@@ -48,9 +65,11 @@ def _dead_pid() -> int:
     return process.pid
 
 
-@pytest.fixture()
-def journal(tmp_path):
-    journal = JobJournal(tmp_path / "jobs.journal.sqlite3")
+@pytest.fixture(params=["file", "memory"])
+def journal(request, tmp_path):
+    """Each unit test runs on a WAL file and on a private in-memory journal."""
+    path = tmp_path / "jobs.journal.sqlite3" if request.param == "file" else MEMORY
+    journal = JobJournal(path)
     yield journal
     journal.close()
 
@@ -155,6 +174,22 @@ class TestTransitions:
         # Active (queued/running) rows cannot be operator-requeued.
         assert not journal.requeue_terminal("j1")
 
+    def test_finishing_prunes_old_terminal_rows_but_never_active_ones(self, journal):
+        journal.insert("queued-1", "dq", "{}")
+        journal.insert("running-1", "dr", "{}")
+        assert journal.claim("running-1")
+        finished = TERMINAL_ROW_RETENTION + 50
+        for i in range(finished):
+            journal.insert(f"j{i}", f"d{i}", "{}")
+            assert journal.finish(f"j{i}", "succeeded")
+        counts = journal.counts()
+        terminal = sum(counts.get(s, 0) for s in ("succeeded", "failed", "cancelled"))
+        assert 0 < terminal <= TERMINAL_ROW_RETENTION
+        assert journal.row("j0") is None  # the oldest terminal rows are gone
+        assert journal.row(f"j{finished - 1}").state == "succeeded"
+        assert journal.row("queued-1").state == "queued"
+        assert journal.row("running-1").state == "running"
+
     def test_counts_and_meta(self, journal):
         journal.insert("j1", "d1", "{}")
         journal.insert("j2", "d2", "{}")
@@ -218,7 +253,7 @@ class TestJournalScheduler:
     def test_submission_is_journaled_through_to_terminal(self, tmp_path):
         journal = JobJournal(tmp_path)
         scheduler = JobScheduler(
-            lambda payload: _report(str(payload)), workers=1, journal=journal
+            _echo, workers=1, journal=journal
         )
         try:
             job = scheduler.submit("x", digest="d1" * 8)
@@ -235,7 +270,7 @@ class TestJournalScheduler:
         journal = JobJournal(tmp_path)
         calls = []
 
-        def flaky(payload):
+        def flaky(payload, budget=None, observer=None):
             calls.append(payload)
             if len(calls) < 3:
                 raise OSError("oracle connection reset")
@@ -258,7 +293,7 @@ class TestJournalScheduler:
         journal = JobJournal(tmp_path)
         calls = []
 
-        def broken(payload):
+        def broken(payload, budget=None, observer=None):
             calls.append(payload)
             raise ValueError("bad grammar")
 
@@ -278,7 +313,7 @@ class TestJournalScheduler:
         journal = JobJournal(tmp_path)
         calls = []
 
-        def always_flaky(payload):
+        def always_flaky(payload, budget=None, observer=None):
             calls.append(payload)
             raise OSError("still down")
 
@@ -303,7 +338,7 @@ class TestJournalScheduler:
         journal = JobJournal(tmp_path)
         calls = []
 
-        def executor(payload):
+        def executor(payload, budget=None, observer=None):
             calls.append(payload)
             return _report(str(payload))
 
@@ -330,7 +365,7 @@ class TestJournalScheduler:
         setup.close()
         journal = JobJournal(tmp_path)
         scheduler = JobScheduler(
-            lambda payload: _report(str(payload)), workers=1, journal=journal
+            _echo, workers=1, journal=journal
         )
         try:
             deadline = time.time() + 10
@@ -355,7 +390,7 @@ class TestJournalScheduler:
         journal = JobJournal(tmp_path / "data")
         calls = []
 
-        def executor(payload):  # pragma: no cover - must not run
+        def executor(payload, budget=None, observer=None):  # pragma: no cover - must not run
             calls.append(payload)
             return _report(str(payload))
 
@@ -379,7 +414,7 @@ class TestJournalScheduler:
         journal = JobJournal(tmp_path)
         release = threading.Event()
 
-        def gated(payload):
+        def gated(payload, budget=None, observer=None):
             assert release.wait(10)
             return _report(str(payload))
 
@@ -394,6 +429,196 @@ class TestJournalScheduler:
         finally:
             scheduler.shutdown()
             journal.close()
+
+
+    def test_requeued_job_reruns_on_the_live_scheduler(self, tmp_path):
+        journal = JobJournal(tmp_path)
+        calls = []
+
+        def fails_once(payload, budget=None, observer=None):
+            calls.append(payload)
+            if len(calls) == 1:
+                raise ValueError("deterministic first failure")
+            return _report(str(payload))
+
+        scheduler = JobScheduler(fails_once, workers=1, journal=journal)
+        try:
+            job = scheduler.submit("x", digest="dq" * 8)
+            assert job.wait(10)
+            assert job.state is JobState.FAILED
+            # What `repro jobs --journal <path> --requeue <id>` does: a second
+            # connection moves the row back to queued.
+            operator = JobJournal(tmp_path)
+            try:
+                assert operator.requeue_terminal(job.id)
+            finally:
+                operator.close()
+            deadline = time.time() + 5
+            while time.time() < deadline:
+                if journal.row(job.id).state == "succeeded":
+                    break
+                time.sleep(0.05)
+            assert journal.row(job.id).state == "succeeded"
+            assert calls == ["x", "x"]
+            # The finished handle's done event was already set, so the rerun
+            # runs on a fresh handle under the same id.
+            rerun = scheduler.job(job.id)
+            assert rerun is not job
+            assert rerun.state is JobState.SUCCEEDED
+        finally:
+            scheduler.shutdown()
+            journal.close()
+
+    def test_submission_racing_a_finish_attaches_to_the_finishing_job(self, tmp_path):
+        class BlockingFinish(JobJournal):
+            """Holds the finish of a succeeded row until released."""
+
+            finishing = threading.Event()
+            release = threading.Event()
+
+            def finish(self, job_id, state, *args, **kwargs):
+                if state == "succeeded":
+                    self.finishing.set()
+                    assert self.release.wait(10)
+                return super().finish(job_id, state, *args, **kwargs)
+
+        journal = BlockingFinish(tmp_path)
+        scheduler = JobScheduler(_echo, workers=1, journal=journal)
+        try:
+            job = scheduler.submit("x", digest="dr" * 8)
+            assert journal.finishing.wait(10)
+            # The handle is already terminal; its row is still running.
+            assert job.state is JobState.SUCCEEDED
+            assert journal.row(job.id).state == "running"
+            attached = []
+            racer = threading.Thread(
+                target=lambda: attached.append(scheduler.submit("x", digest="dr" * 8))
+            )
+            racer.start()
+            racer.join(10)
+            journal.release.set()
+            assert attached and attached[0] is job
+            assert attached[0].wait(5)
+            assert journal.row(job.id).submissions == 2
+        finally:
+            journal.release.set()
+            scheduler.shutdown()
+            journal.close()
+
+    def _busy_scheduler(self, tmp_path, release, calls, store=None):
+        """A one-worker file-journal scheduler whose worker is held by a
+        ``"block"`` job until *release* is set."""
+
+        def executor(payload, budget=None, observer=None):
+            calls.append(payload)
+            if payload == "block":
+                assert release.wait(10)
+            elif calls.count(payload) == 1 and payload == "fails-once":
+                raise ValueError("deterministic first failure")
+            return _report(str(payload))
+
+        scheduler = JobScheduler(
+            executor, store=store, workers=1, journal=JobJournal(tmp_path)
+        )
+        blocker = scheduler.submit("block", digest="db" * 8)
+        assert _eventually(lambda: blocker.state is JobState.RUNNING)
+        return scheduler
+
+    def test_job_another_scheduler_runs_completes_the_local_handle(self, tmp_path):
+        store = ResultStore(tmp_path / "store")
+        release, calls = threading.Event(), []
+        a = self._busy_scheduler(tmp_path, release, calls, store=store)
+        b = None
+        try:
+            job = a.submit("x", digest="dx" * 8)
+            # A second server on the same file claims the job while A's only
+            # worker is busy.
+            b_release = threading.Event()
+
+            def b_executor(payload, budget=None, observer=None):
+                assert b_release.wait(10)
+                return _report(str(payload))
+
+            b = JobScheduler(
+                b_executor, store=store, workers=1, journal=JobJournal(tmp_path)
+            )
+            assert _eventually(lambda: a.journal_row(job.id).state == "running")
+            # Running elsewhere: the row, not A's queued handle, answers.
+            assert a.job(job.id) is None
+            b_release.set()
+            assert _eventually(lambda: a.journal_row(job.id).state == "succeeded")
+            assert a.job(job.id) is job
+            assert job.wait(0)
+            assert job.state is JobState.SUCCEEDED
+            assert job.report.task_name == "x"
+            assert "x" not in calls
+        finally:
+            release.set()
+            if b is not None:
+                b.shutdown()
+                b.journal.close()
+            a.shutdown()
+            a.journal.close()
+
+    def test_job_cancelled_through_another_connection_completes_the_local_handle(
+        self, tmp_path
+    ):
+        release, calls = threading.Event(), []
+        scheduler = self._busy_scheduler(tmp_path, release, calls)
+        try:
+            job = scheduler.submit("x", digest="dx" * 8)
+            other = JobJournal(tmp_path)
+            try:
+                assert other.finish(job.id, "cancelled", from_states=("queued",))
+            finally:
+                other.close()
+            release.set()
+            # No lookup: the idle worker finishes the handle from its row.
+            assert job.wait(5)
+            assert job.state is JobState.CANCELLED
+            assert calls == ["block"]
+            assert scheduler.job(job.id) is job
+        finally:
+            release.set()
+            scheduler.shutdown()
+            scheduler.journal.close()
+
+    @pytest.mark.parametrize("then", ["resubmit", "cancel"])
+    def test_requeued_row_gets_a_fresh_handle_before_its_claim(self, tmp_path, then):
+        release, calls = threading.Event(), []
+        scheduler = self._busy_scheduler(tmp_path, release, calls)
+        try:
+            release.set()
+            failed = scheduler.submit("fails-once", digest="dq" * 8)
+            assert failed.wait(10)
+            assert failed.state is JobState.FAILED
+            release.clear()
+            blocker = scheduler.submit("block", digest="dc" * 8)
+            assert _eventually(lambda: blocker.state is JobState.RUNNING)
+            operator = JobJournal(tmp_path)
+            try:
+                assert operator.requeue_terminal(failed.id)
+            finally:
+                operator.close()
+            # The row is queued again but no worker is free to claim it.
+            if then == "cancel":
+                assert scheduler.cancel(failed.id)
+                assert scheduler.journal_row(failed.id).state == "cancelled"
+                assert scheduler.job(failed.id).state is JobState.CANCELLED
+                return
+            again = scheduler.submit("fails-once", digest="dq" * 8)
+            assert again is not failed
+            assert again.id == failed.id
+            assert again.state is JobState.QUEUED
+            assert scheduler.job(failed.id) is again
+            release.set()
+            assert again.wait(10)
+            assert again.state is JobState.SUCCEEDED
+            assert calls.count("fails-once") == 2
+        finally:
+            release.set()
+            scheduler.shutdown()
+            scheduler.journal.close()
 
 
 # ---------------------------------------------------------------------- #
@@ -431,7 +656,7 @@ class TestServiceRestart:
         release = threading.Event()
         started = threading.Event()
 
-        def gated(payload):
+        def gated(payload, budget=None, observer=None):
             started.set()
             assert release.wait(10)
             return _report(str(payload))
@@ -453,7 +678,7 @@ class TestServiceRestart:
         # The queued row is adopted by the next scheduler on this journal.
         journal2 = JobJournal(tmp_path)
         scheduler2 = JobScheduler(
-            lambda payload: _report(str(payload)), workers=1, journal=journal2
+            _echo, workers=1, journal=journal2
         )
         try:
             assert scheduler2.stats()["recovered"] == 1

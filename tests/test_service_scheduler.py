@@ -2,18 +2,27 @@
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 
 import pytest
 
 from repro.core.result import SynthesisReport
-from repro.lifting import ExecutionConfig
 from repro.service import JobScheduler, JobState, ResultStore
 
 
 def _report(name: str = "t", success: bool = True) -> SynthesisReport:
     return SynthesisReport(task_name=name, method="test", success=success)
+
+
+def _echo(payload, budget=None, observer=None) -> SynthesisReport:
+    """An executor whose report is named after its payload."""
+    return _report(str(payload))
+
+
+def _blank(payload, budget=None, observer=None) -> SynthesisReport:
+    return _report()
 
 
 class _Gate:
@@ -25,7 +34,7 @@ class _Gate:
         self.calls = []
         self.lock = threading.Lock()
 
-    def __call__(self, payload):
+    def __call__(self, payload, budget=None, observer=None):
         with self.lock:
             first = not self.calls
             self.calls.append(payload)
@@ -37,13 +46,25 @@ class _Gate:
 
 class TestScheduling:
     def test_runs_a_job_to_completion(self):
-        scheduler = JobScheduler(lambda payload: _report(str(payload)), workers=1)
+        scheduler = JobScheduler(_echo, workers=1)
         try:
             job = scheduler.submit("x", digest="d1")
             assert job.wait(10)
             assert job.state is JobState.SUCCEEDED
             assert job.report.task_name == "x"
             assert not job.cached
+        finally:
+            scheduler.shutdown()
+
+    def test_default_queue_is_a_private_in_memory_journal(self):
+        scheduler = JobScheduler(_echo, workers=1)
+        try:
+            assert scheduler.journal.path is None
+            job = scheduler.submit("x", digest="dmem")
+            assert job.wait(10)
+            row = scheduler.journal_row(job.id)
+            assert row.state == "succeeded"
+            assert row.attempts == 1
         finally:
             scheduler.shutdown()
 
@@ -97,7 +118,7 @@ class TestScheduling:
         store.put("seen" * 16, _report("cached-task"))
         calls = []
 
-        def executor(payload):
+        def executor(payload, budget=None, observer=None):
             calls.append(payload)
             return _report(str(payload))
 
@@ -115,7 +136,7 @@ class TestScheduling:
     def test_completed_jobs_persist_to_store(self, tmp_path):
         store = ResultStore(tmp_path)
         scheduler = JobScheduler(
-            lambda payload: _report(str(payload)), store=store, workers=1
+            _echo, store=store, workers=1
         )
         try:
             job = scheduler.submit("x", digest="ab" * 32)
@@ -125,7 +146,7 @@ class TestScheduling:
             scheduler.shutdown()
 
     def test_executor_exception_fails_the_job(self):
-        def executor(payload):
+        def executor(payload, budget=None, observer=None):
             raise RuntimeError("kaboom")
 
         scheduler = JobScheduler(executor, workers=1)
@@ -141,7 +162,7 @@ class TestScheduling:
         # concurrent.futures.TimeoutError is builtin TimeoutError on 3.11+;
         # an executor raising it must fail the job, not kill the worker and
         # wedge the digest in the in-flight set.
-        def executor(payload):
+        def executor(payload, budget=None, observer=None):
             raise TimeoutError("oracle socket timed out")
 
         scheduler = JobScheduler(executor, workers=1)
@@ -161,7 +182,7 @@ class TestScheduling:
     def test_transient_failures_retry_in_memory(self):
         calls = []
 
-        def flaky(payload):
+        def flaky(payload, budget=None, observer=None):
             calls.append(payload)
             if len(calls) < 2:
                 raise OSError("socket flake")
@@ -189,7 +210,7 @@ class TestScheduling:
 
         store.put = flaky_put
         scheduler = JobScheduler(
-            lambda payload: _report(str(payload)), store=store, workers=1
+            _echo, store=store, workers=1
         )
         try:
             job = scheduler.submit("x", digest="ab" * 32)
@@ -202,7 +223,7 @@ class TestScheduling:
 
     def test_jobs_are_evicted_beyond_retention(self):
         scheduler = JobScheduler(
-            lambda payload: _report(str(payload)), workers=1, job_retention=3
+            _echo, workers=1, job_retention=3
         )
         try:
             jobs = [scheduler.submit(i, digest=f"d{i}") for i in range(6)]
@@ -237,7 +258,7 @@ class TestScheduling:
 
     def test_evicted_jobs_leave_digest_crumbs(self):
         scheduler = JobScheduler(
-            lambda payload: _report(str(payload)), workers=1, job_retention=1
+            _echo, workers=1, job_retention=1
         )
         try:
             jobs = [scheduler.submit(i, digest=f"dcrumb{i}") for i in range(3)]
@@ -246,8 +267,8 @@ class TestScheduling:
             evicted = [j for j in jobs if scheduler.job(j.id) is None]
             assert evicted  # retention=1 must have evicted something
             for job in evicted:
-                assert scheduler.evicted_digest(job.id) == job.digest
-            assert scheduler.evicted_digest("job-never-existed") is None
+                assert scheduler.journal_row(job.id).digest == job.digest
+            assert scheduler.journal_row("job-never-existed") is None
         finally:
             scheduler.shutdown()
 
@@ -309,7 +330,7 @@ class TestScheduling:
             scheduler.shutdown()
 
     def test_lookup_and_status_dict(self):
-        scheduler = JobScheduler(lambda payload: _report(), workers=1)
+        scheduler = JobScheduler(_blank, workers=1)
         try:
             job = scheduler.submit("x", digest="dd" * 32)
             assert scheduler.job(job.id) is job
@@ -324,19 +345,48 @@ class TestScheduling:
 
     def test_rejects_nonpositive_worker_count(self):
         with pytest.raises(ValueError):
-            JobScheduler(lambda payload: _report(), workers=0)
+            JobScheduler(_blank, workers=0)
 
-    def test_process_backend_rejects_budget_unaware_executor(self):
-        # Process-backed jobs are stopped through their budget; an executor
-        # that cannot take one could never be cancelled or timed out.
-        with pytest.raises(ValueError, match="budget-aware"):
-            JobScheduler(
-                lambda payload: _report(),
-                execution=ExecutionConfig("processes", workers=1),
-            )
+    def test_concurrent_submitters_and_workers_run_each_job_once(self, tmp_path):
+        # More workers than cores and a short switch interval: a lost
+        # update in dedup, or two workers claiming one row, would show as
+        # a miscounted submission or a job run twice.
+        runs = []
+
+        def executor(payload, budget=None, observer=None):
+            runs.append(payload)
+            time.sleep(0.001)
+            return _report(str(payload))
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        scheduler = JobScheduler(executor, store=ResultStore(tmp_path), workers=4)
+        try:
+            handles = []
+
+            def submitter():
+                for i in range(60):
+                    handles.append(scheduler.submit(f"p{i % 15}", digest=f"{i % 15:02d}" * 32))
+
+            threads = [threading.Thread(target=submitter) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30)
+                assert not thread.is_alive()
+            unique = {id(job): job for job in handles}.values()
+            for job in unique:
+                assert job.wait(10)
+                assert job.state is JobState.SUCCEEDED
+            assert sum(job.submissions for job in unique) == len(handles) == 240
+            assert len(runs) == sum(1 for job in unique if not job.cached)
+            assert set(runs) == {f"p{d}" for d in range(15)}
+        finally:
+            sys.setswitchinterval(previous)
+            scheduler.shutdown()
 
     def test_submit_after_shutdown_raises(self):
-        scheduler = JobScheduler(lambda payload: _report(), workers=1)
+        scheduler = JobScheduler(_blank, workers=1)
         scheduler.shutdown()
         with pytest.raises(RuntimeError):
             scheduler.submit("x", digest="dz")
